@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -66,7 +65,7 @@ from .trees import (
     parse_tree,
     tree_stats,
 )
-from .verify import SUITE_NAMES, format_report, report_to_dict, run_suite
+from .verify import SUITE_NAMES, _env_max_size, format_report, report_to_dict, run_suite
 
 SERIES_BY_FLAG = {
     "a": A_FORMULA,
@@ -93,18 +92,8 @@ class _UsageError(Exception):
     pass
 
 
-def _env_size_cap() -> int | None:
-    raw = os.environ.get("MAPSCOPE_MAX_SIZE")
-    if raw is None or not raw.strip():
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise _UsageError(f"MAPSCOPE_MAX_SIZE must be an integer, got {raw!r}") from None
-
-
 def _check_size_cap(size: int) -> None:
-    cap = _env_size_cap()
+    cap = _env_max_size()
     if cap is not None and size > cap:
         raise _UsageError(f"size {size} exceeds MAPSCOPE_MAX_SIZE={cap}")
 
@@ -361,7 +350,7 @@ def _cmd_series(args) -> int:
         for n in range(1, args.terms + 1):
             coeff = ser[n]
             est = asymptotic(asympt_name, n)
-            rel = "" if coeff == 0 else mpmath.nstr(abs(est / int(coeff) - 1), 6)
+            rel = "" if coeff == 0 else mpmath.nstr(abs(est / coeff - 1), 6)
             rows.append(
                 {
                     "n": n,

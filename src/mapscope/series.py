@@ -1,9 +1,13 @@
 """Exact truncated power series, functional equations, and asymptotics.
 
-All series arithmetic is over `fractions.Fraction`; floating point appears
-only in the asymptotic estimators and the singularity solver (mpmath, 30
-significant digits).  A `RationalSeries` holds coefficients 0..order; binary
-operations truncate to the shorter operand.
+Series arithmetic is exact: a `RationalSeries` keeps each coefficient as an
+int when it is integral and as a `fractions.Fraction` otherwise.  Every
+quotient goes through `_div`, which keeps integral quotients as ints, so all
+named series but A_HYP (a hypergeometric sum over the rationals) are built
+in int arithmetic.  Floating point appears only in the asymptotic estimators
+and the singularity solver, which run at 30 significant digits (mpmath)
+whatever the caller's precision.  A `RationalSeries` holds coefficients
+0..order; binary operations truncate to the shorter operand.
 
 Named series (`series(name, N)`):
 
@@ -14,8 +18,8 @@ Named series (`series(name, N)`):
 * A_HYP     -- (2/3x)(F([-2/3,-1/3],[1/2],27x/4) - 1);
 * P         -- A(x/(1+x));  PPRIME -- (1-x) P;
 * B1        -- (1+x-sqrt(1-2x-3x^2))/(2(1+x)) (labels <= 1, no only children);
-* B2        -- quadratic functional equation, equivalently
-  (1+3x+4x^2-sqrt(1-2x-7x^2))/(4+8x) (labels <= 2);
+* B2        -- (1+3x+4x^2-sqrt(1-2x-7x^2))/(4+8x) (labels <= 2), the
+  solution of a quadratic functional equation;
 * B3        -- quartic functional equation (labels <= 3), seed y(0) = 0.
 """
 
@@ -52,11 +56,38 @@ __all__ = [
 ]
 
 
+def _exact(v) -> int | Fraction:
+    """v as an int when it is integral, else as a Fraction."""
+    if type(v) is int:
+        return v
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
+def _div(a, b) -> int | Fraction:
+    """The exact quotient a / b: an int when it is integral, else a Fraction."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _exact(Fraction(a) / b)
+
+
 @dataclass(frozen=True)
 class RationalSeries:
-    """Truncated power series; coeffs[k] is the coefficient of x^k."""
+    """Truncated power series; coeffs[k] is the coefficient of x^k.
 
-    coeffs: tuple[Fraction, ...]
+    Each coefficient is stored exactly: an int when it is integral, a
+    Fraction otherwise.
+
+    >>> RationalSeries.poly([2, Fraction(4, 2), 0.5], 3).coeffs
+    (2, 2, Fraction(1, 2), 0)
+    """
+
+    coeffs: tuple[int | Fraction, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", tuple(map(_exact, self.coeffs)))
 
     @property
     def order(self) -> int:
@@ -65,17 +96,14 @@ class RationalSeries:
     @staticmethod
     def poly(values, order: int) -> "RationalSeries":
         """Exact polynomial padded with zeros up to `order`."""
-        vals = [Fraction(v) for v in values]
-        if len(vals) > order + 1:
-            vals = vals[: order + 1]
-        vals += [Fraction(0)] * (order + 1 - len(vals))
-        return RationalSeries(tuple(vals))
+        vals = list(values)[: order + 1]
+        return RationalSeries(tuple(vals) + (0,) * (order + 1 - len(vals)))
 
     @staticmethod
     def x(order: int) -> "RationalSeries":
         return RationalSeries.poly([0, 1], order)
 
-    def __getitem__(self, k: int) -> Fraction:
+    def __getitem__(self, k: int) -> int | Fraction:
         return self.coeffs[k]
 
     def truncate(self, order: int) -> "RationalSeries":
@@ -85,17 +113,11 @@ class RationalSeries:
 
     def __add__(self, other):
         other = _coerce(other, self.order)
-        n = min(self.order, other.order)
-        return RationalSeries(
-            tuple(a + b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1]))
-        )
+        return RationalSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         other = _coerce(other, self.order)
-        n = min(self.order, other.order)
-        return RationalSeries(
-            tuple(a - b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1]))
-        )
+        return RationalSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __rsub__(self, other):
         return _coerce(other, self.order) - self
@@ -107,45 +129,43 @@ class RationalSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return RationalSeries(tuple(a * q for a in self.coeffs))
+            return RationalSeries(tuple(a * other for a in self.coeffs))
         n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (n + 1)
-        for i in range(n + 1):
-            ai = a[i]
-            if not ai:
-                continue
-            for j in range(n + 1 - i):
-                if b[j]:
-                    out[i + j] += ai * b[j]
+        terms = [(j, b) for j, b in enumerate(other.coeffs[: n + 1]) if b]
+        out = [0] * (n + 1)
+        for i, a in enumerate(self.coeffs[: n + 1]):
+            if a:
+                for j, b in terms:
+                    if i + j > n:
+                        break
+                    out[i + j] += a * b
         return RationalSeries(tuple(out))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return RationalSeries(tuple(a / q for a in self.coeffs))
-        if other.coeffs[0] == 0:
+            return RationalSeries(tuple(_div(a, other) for a in self.coeffs))
+        b0 = other.coeffs[0]
+        if b0 == 0:
             raise ValueError("division requires a unit constant term")
         n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (n + 1)
-        inv0 = 1 / b[0]
+        terms = [(j, b) for j, b in enumerate(other.coeffs[1 : n + 1], 1) if b]
+        out = [0] * (n + 1)
         for k in range(n + 1):
-            acc = a[k]
-            for j in range(1, k + 1):
-                if b[j]:
-                    acc -= b[j] * out[k - j]
-            out[k] = acc * inv0
+            acc = self.coeffs[k]
+            for j, b in terms:
+                if j > k:
+                    break
+                acc -= b * out[k - j]
+            out[k] = _div(acc, b0)
         return RationalSeries(tuple(out))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalSeries) and self.coeffs == other.coeffs
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
 
 def _coerce(v, order: int) -> RationalSeries:
@@ -155,19 +175,23 @@ def _coerce(v, order: int) -> RationalSeries:
 
 
 def sqrt_series(f: RationalSeries, order: int | None = None) -> RationalSeries:
-    """Series square root; requires f(0) = 1."""
+    """Series square root; requires f(0) = 1.
+
+    >>> sqrt_series(RationalSeries.poly([1, -2, -3], 4)).coeffs
+    (1, -1, -2, -2, -4)
+    >>> sqrt_series(RationalSeries.poly([1, -1], 3)).coeffs
+    (1, Fraction(-1, 2), Fraction(-1, 8), Fraction(-1, 16))
+    """
     if f.coeffs[0] != 1:
         raise ValueError("sqrt_series requires constant term 1")
     n = f.order if order is None else min(order, f.order)
     a = f.coeffs
-    s = [Fraction(0)] * (n + 1)
-    s[0] = Fraction(1)
-    half = Fraction(1, 2)
+    s = [1] + [0] * n
     for k in range(1, n + 1):
         acc = a[k]
         for i in range(1, k):
             acc -= s[i] * s[k - i]
-        s[k] = acc * half
+        s[k] = _div(acc, 2)
     return RationalSeries(tuple(s))
 
 
@@ -192,21 +216,20 @@ def compose(f: RationalSeries, g: RationalSeries, order: int | None = None) -> R
 class EquationSpec:
     """Bivariate polynomial Q(x, y) = sum coeffs[(i, j)] x^i y^j, with seed y(0)."""
 
-    coeffs: tuple[tuple[tuple[int, int], Fraction], ...]
-    seed: Fraction
+    coeffs: tuple[tuple[tuple[int, int], int | Fraction], ...]
+    seed: int | Fraction
 
     @staticmethod
     def make(coeffs: dict[tuple[int, int], int | Fraction], seed) -> "EquationSpec":
-        items = tuple(sorted((k, Fraction(v)) for k, v in coeffs.items() if v))
-        return EquationSpec(items, Fraction(seed))
+        items = tuple(sorted((k, _exact(v)) for k, v in coeffs.items() if v))
+        return EquationSpec(items, _exact(seed))
 
     def y_degree(self) -> int:
         return max(j for (_, j), _ in self.coeffs)
 
-    def q_at_seed(self) -> tuple[Fraction, Fraction]:
+    def q_at_seed(self) -> tuple[int | Fraction, int | Fraction]:
         """(Q(0, seed), dQ/dy(0, seed))."""
-        q = Fraction(0)
-        qy = Fraction(0)
+        q = qy = 0
         for (i, j), c in self.coeffs:
             if i == 0:
                 q += c * self.seed**j
@@ -266,46 +289,51 @@ B3_EQUATION = EquationSpec.make(
 )
 
 
-def _poly_in_y(spec: EquationSpec, order: int) -> list[RationalSeries]:
-    """Q's coefficients as series in x, indexed by the power of y."""
-    deg = spec.y_degree()
-    rows: list[list[Fraction]] = [[Fraction(0)] * (order + 1) for _ in range(deg + 1)]
+def _q_and_qy(spec: EquationSpec, y: RationalSeries) -> tuple[RationalSeries, RationalSeries]:
+    """Q(x, y) and dQ/dy(x, y), truncated to y's order.
+
+    Q has few monomials, so the powers of y are built once and each monomial
+    adds its shifted power into Q and dQ/dy.
+    """
+    n = y.order
+    powers = [RationalSeries.poly([1], n), y]
+    for _ in range(spec.y_degree() - 1):
+        powers.append(powers[-1] * y)
+    q = [0] * (n + 1)
+    qy = [0] * (n + 1)
+
+    def add(acc, c, i, power):
+        for k, p in enumerate(power.coeffs[: n + 1 - i], i):
+            if p:
+                acc[k] += c * p
+
     for (i, j), c in spec.coeffs:
-        if i <= order:
-            rows[j][i] += c
-    return [RationalSeries(tuple(row)) for row in rows]
-
-
-def _eval_poly(rows: list[RationalSeries], y: RationalSeries) -> RationalSeries:
-    acc = rows[-1]
-    for row in reversed(rows[:-1]):
-        acc = acc * y + row
-    return acc
+        if i > n:
+            continue
+        add(q, c, i, powers[j])
+        if j:
+            add(qy, c * j, i, powers[j - 1])
+    return RationalSeries(tuple(q)), RationalSeries(tuple(qy))
 
 
 def solve_equation(spec: EquationSpec, order: int) -> RationalSeries:
     """Unique series y with y(0) = seed and Q(x, y) = 0 mod x^(order+1).
 
-    Newton iteration with order doubling; exact rationals throughout.  The
-    residual is asserted to vanish before returning.
+    Newton iteration with order doubling (Brent and Kung, 1978), exact
+    throughout.  The residual is asserted to vanish before returning.
     """
     q0, qy0 = spec.q_at_seed()
     if q0 != 0:
         raise ValueError("seed does not satisfy Q(0, y0) = 0")
     if qy0 == 0:
         raise ValueError("degenerate seed: dQ/dy(0, y0) = 0")
-    rows_full = _poly_in_y(spec, order)
-    deriv_full = [row * j for j, row in enumerate(rows_full)][1:]
-    y = RationalSeries.poly([spec.seed], 0)
+    y = RationalSeries((spec.seed,))
     while y.order < order:
         new_order = min(2 * y.order + 1, order)
-        rows = [r.truncate(new_order) for r in rows_full]
-        deriv = [r.truncate(new_order) for r in deriv_full]
-        y = RationalSeries(y.coeffs + (Fraction(0),) * (new_order - y.order))
-        q = _eval_poly(rows, y)
-        qy = _eval_poly(deriv, y)
+        y = RationalSeries(y.coeffs + (0,) * (new_order - y.order))
+        q, qy = _q_and_qy(spec, y)
         y = y - q / qy
-    residual = _eval_poly(rows_full, y)
+    residual, _ = _q_and_qy(spec, y)
     if not residual.is_zero():
         raise AssertionError("functional equation residual is nonzero")
     return y
@@ -423,11 +451,15 @@ def b2_closed_form(order: int) -> RationalSeries:
 
 
 def series(name: str, order: int) -> RationalSeries:
-    """Build a named series to the given order (exact rationals)."""
+    """Build a named series to the given order; its coefficients are ints.
+
+    >>> series(B3, 8).coeffs
+    (0, 1, 0, 1, 1, 5, 13, 48, 160)
+    """
     if order < 1:
         raise ValueError("order must be >= 1")
     if name == A_FORMULA:
-        return RationalSeries(tuple(Fraction(tutte_count(n)) for n in range(order + 1)))
+        return RationalSeries(tuple(tutte_count(n) for n in range(order + 1)))
     if name == A_ZEIL:
         b = solve_equation(ZEILBERGER_CUBIC, order)
         return 2 + RationalSeries.x(order) * b
@@ -440,17 +472,15 @@ def series(name: str, order: int) -> RationalSeries:
     if name == B1:
         return b1_closed_form(order)
     if name == B2:
-        return solve_equation(B2_EQUATION, order)
+        return b2_closed_form(order)
     if name == B3:
         return solve_equation(B3_EQUATION, order)
     raise ValueError(f"unknown series name: {name!r}")
 
 
 # ---------------------------------------------------------------------------
-# Asymptotics
+# Asymptotics (mpmath, 30 significant digits whatever the caller's precision)
 # ---------------------------------------------------------------------------
-
-mpmath.mp.dps = 30
 
 
 @dataclass(frozen=True)
@@ -462,7 +492,7 @@ class SingularityEstimate:
 
 def _q_funcs():
     """Q, Q_x, Q_z, Q_zz for the quartic, as mpmath-evaluable callables."""
-    terms = [((i, j), int(c)) for (i, j), c in B3_EQUATION.coeffs]
+    terms = B3_EQUATION.coeffs
 
     def q(x, z):
         return mpmath.fsum(c * x**i * z**j for (i, j), c in terms)
@@ -493,6 +523,7 @@ def _q_funcs():
 
 
 @lru_cache(maxsize=1)
+@mpmath.workdps(30)
 def b3_singularity() -> SingularityEstimate:
     """Dominant singularity of the quartic's branch through the origin.
 
@@ -503,11 +534,11 @@ def b3_singularity() -> SingularityEstimate:
     order-200 coefficient ratio (must agree within 1%).
     """
     b3 = solve_equation(B3_EQUATION, 201)
-    ratio = mpmath.mpf(int(b3[201])) / mpmath.mpf(int(b3[200]))
+    ratio = mpmath.mpf(b3[201]) / b3[200]
     x0 = 1 / ratio
     # Seed z by the truncated series a touch inside the radius.
     xs = x0 * (1 - mpmath.mpf(1) / 50)
-    z0 = mpmath.fsum(int(b3[k]) * xs**k for k in range(202))
+    z0 = mpmath.fsum(b3[k] * xs**k for k in range(202))
     q, qx, qz, qzz, qxz = _q_funcs()
     x, z = x0, z0
     for _ in range(200):
@@ -535,6 +566,7 @@ def b3_singularity() -> SingularityEstimate:
     return SingularityEstimate(tau=z, rho=rho, gamma=gamma)
 
 
+@mpmath.workdps(30)
 def asymptotic(name: str, n: int):
     """First-order coefficient estimates, exactly as conventionally printed.
 
@@ -593,122 +625,11 @@ def exact_coefficient(name: str, n: int) -> int:
     if name == PPRIME:
         return pprime_coefficient(n)
     if name in (B1, B2, B3):
-        s = _b_series_coeffs(name, _b_order_for(name, n))
-        return s[n]
+        return _b_series_coeffs(name, max(800 if name == B3 else 1000, n))[n]
     raise ValueError(f"unknown asymptotic name: {name!r}")
-
-
-def _b_order_for(name: str, n: int) -> int:
-    # Build each B-series once at the largest order the checks touch.
-    default = 800 if name == B3 else 1000
-    return max(default, n)
-
-
-# The three B-series have integer coefficients, so the large-order targets are
-# built with plain-int convolutions (the Fraction path above is kept for the
-# library API and cross-checked against this one in the tests).
-
-
-def _int_mul(a: list[int], b: list[int], order: int) -> list[int]:
-    out = [0] * (order + 1)
-    for i, ai in enumerate(a[: order + 1]):
-        if ai:
-            for j in range(min(len(b), order + 1 - i)):
-                if b[j]:
-                    out[i + j] += ai * b[j]
-    return out
-
-
-def _int_div(a: list[int], b: list[int], order: int) -> list[int]:
-    """Long division; requires b[0] in {1, -1} so the quotient stays integral."""
-    assert b[0] in (1, -1)
-    out = [0] * (order + 1)
-    for k in range(order + 1):
-        acc = a[k] if k < len(a) else 0
-        for j in range(1, min(k, len(b) - 1) + 1):
-            if b[j]:
-                acc -= b[j] * out[k - j]
-        out[k] = acc * b[0]
-    return out
-
-
-def _int_sqrt(f: list[int], order: int) -> list[int]:
-    assert f[0] == 1
-    s = [0] * (order + 1)
-    s[0] = 1
-    for k in range(1, order + 1):
-        acc = f[k] if k < len(f) else 0
-        for i in range(1, k):
-            acc -= s[i] * s[k - i]
-        q, r = divmod(acc, 2)
-        assert r == 0
-        s[k] = q
-    return s
-
-
-def _int_halve(a: list[int]) -> list[int]:
-    out = []
-    for v in a:
-        q, r = divmod(v, 2)
-        assert r == 0
-        out.append(q)
-    return out
-
-
-def _int_solve(spec: EquationSpec, order: int) -> list[int]:
-    """solve_equation specialized to integer coefficients (needs dQ/dy(0,y0) = +-1).
-
-    Q(x,y) here has few monomials, so each Newton step computes the truncated
-    powers of y once (deg-1 dense convolutions) and accumulates Q and dQ/dy
-    from the sparse coefficient list.
-    """
-    assert spec.seed.denominator == 1
-    items = [((i, j), int(c)) for (i, j), c in spec.coeffs if c.denominator == 1]
-    deg = spec.y_degree()
-
-    def q_and_qy(y, n):
-        powers = [[1] + [0] * n, y[: n + 1]]
-        for _ in range(deg - 1):
-            powers.append(_int_mul(powers[-1], y, n))
-        q = [0] * (n + 1)
-        qy = [0] * (n + 1)
-        for (i, j), c in items:
-            pj = powers[j]
-            for k in range(i, n + 1):
-                if pj[k - i]:
-                    q[k] += c * pj[k - i]
-            if j >= 1:
-                pj1 = powers[j - 1]
-                cj = c * j
-                for k in range(i, n + 1):
-                    if pj1[k - i]:
-                        qy[k] += cj * pj1[k - i]
-        return q, qy
-
-    y = [int(spec.seed)]
-    while len(y) - 1 < order:
-        n = min(2 * (len(y) - 1) + 1, order)
-        y = y + [0] * (n + 1 - len(y))
-        q, qy = q_and_qy(y, n)
-        delta = _int_div(q, qy, n)
-        y = [a - d for a, d in zip(y, delta)]
-    residual, _ = q_and_qy(y, order)
-    assert all(v == 0 for v in residual)
-    return y
 
 
 @lru_cache(maxsize=8)
 def _b_series_coeffs(name: str, order: int) -> tuple[int, ...]:
-    if name == B1:
-        s = _int_sqrt([1, -2, -3], order)
-        num = [1 - s[0], 1 - s[1]] + [-v for v in s[2:]]
-        return tuple(_int_halve(_int_div(num, [1, 1], order)))
-    if name == B2:
-        s = _int_sqrt([1, -2, -7], order)
-        num = [1 - s[0], 3 - s[1], 4 - s[2]] + [-v for v in s[3:]]
-        quo = _int_div(num, [1, 2], order)
-        half = _int_halve(quo)
-        return tuple(_int_halve(half))
-    if name == B3:
-        return tuple(_int_solve(B3_EQUATION, order))
-    raise ValueError(f"unknown B-series name: {name!r}")
+    # Each B-series is built once, at the largest order the checks touch.
+    return series(name, order).coeffs

@@ -78,11 +78,13 @@ def test_enumerate_size_guard(capsys):
 
 
 def test_size_cap_env(capsys, monkeypatch):
-    'MAPSCOPE_MAX_SIZE clamps enumeration sizes'
-    monkeypatch.setenv("MAPSCOPE_MAX_SIZE", "3")
-    code, _, err = run(["enumerate", "--object", "trees", "--size", "4"], capsys)
-    assert code == 2
-    assert "MAPSCOPE_MAX_SIZE" in err
+    'MAPSCOPE_MAX_SIZE clamps enumeration sizes; a malformed value is a usage error'
+    for value in ("3", "x"):
+        monkeypatch.setenv("MAPSCOPE_MAX_SIZE", value)
+        code, _, err = run(["enumerate", "--object", "trees", "--size", "4"], capsys)
+        assert code == 2
+        assert err.startswith("mapscope: ") and err.count("\n") == 1
+        assert "MAPSCOPE_MAX_SIZE" in err
 
 
 def test_biject_tree_to_perm(capsys, monkeypatch):

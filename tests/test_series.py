@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import mapscope
 from mapscope.series import (
     A_FORMULA,
     A_HYP,
@@ -13,6 +17,7 @@ from mapscope.series import (
     PPRIME,
     RationalSeries,
     ZEILBERGER_CUBIC,
+    EquationSpec,
     asymptotic,
     b3_singularity,
     compose,
@@ -88,6 +93,23 @@ def test_b2_closed_form_equals_equation():
     assert eq == series(B2, order).truncate(order)
 
 
+def test_b2_equation_at_high_order():
+    'The closed form behind series(B2) matches the equation far past the prefixes'
+    assert exact_coefficient(B2, 200) == solve_equation(B2_EQUATION, 200)[200]
+
+
+def test_solve_equation_with_rational_coefficients():
+    'Q = y^2 - 2y + x (dQ/dy = -2 at the seed) has the solution 1 - sqrt(1 - x)'
+    spec = EquationSpec.make({(0, 2): 1, (0, 1): -2, (1, 0): 1}, 0)
+    expected = 1 - sqrt_series(RationalSeries.poly([1, -1], 12))
+    assert solve_equation(spec, 12) == expected
+    assert expected[1] == Fraction(1, 2)
+
+
+def test_integral_coefficients_are_ints():
+    assert type(series(B3, 50)[50]) is int
+
+
 def test_b3_equation_residual_and_seed():
     sol = solve_equation(B3_EQUATION, 12)
     assert sol[0] == 0
@@ -95,8 +117,6 @@ def test_b3_equation_residual_and_seed():
 
 
 def test_degenerate_seed_rejected():
-    from mapscope.series import EquationSpec
-
     # Q = y^2 - x has Qy = 0 at the seed
     spec = EquationSpec(coeffs=(((1, 0), Fraction(-1)), ((0, 2), Fraction(1))), seed=Fraction(0))
     with pytest.raises(ValueError):
@@ -134,6 +154,29 @@ def test_singularity_constants():
     assert abs(est.tau - 0.2852537875) < 1e-7
     assert abs(est.rho - 4.2412115430) < 1e-7
     assert abs(est.gamma - 0.1234545709) < 1e-7
+
+
+def test_import_leaves_precision_alone():
+    'Importing mapscope keeps mpmath at 15 digits, and the solver works at them'
+    code = (
+        "import mpmath, mapscope\n"
+        "from mapscope.series import b3_singularity\n"
+        "assert mpmath.mp.dps == 15, mpmath.mp.dps\n"
+        "mpmath.mp.dps = 15\n"
+        "est = b3_singularity()\n"
+        "assert mpmath.mp.dps == 15, mpmath.mp.dps\n"
+        "print(repr(float(est.tau)), repr(float(est.rho)), repr(float(est.gamma)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(mapscope.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    tau, rho, gamma = map(float, done.stdout.split())
+    assert abs(tau - 0.28525378753229241702) < 1e-12
+    assert abs(rho - 4.2412115430421042035) < 1e-12
+    assert abs(gamma - 0.12345457088773947843) < 1e-12
 
 
 def test_b1_estimate_tracks_coefficients():
