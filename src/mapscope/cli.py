@@ -314,15 +314,16 @@ def _map_stat_row(line: str) -> dict:
 def _perm_stat_row(line: str) -> dict:
     pi = parse_perm(line)
     member = in_class(pi)
+    m_occurrences = occurrences(M, pi)
     return {
         "perm": format_perm(pi),
         "length": len(pi),
         "components": len(components(pi)),
         "lr_maxima": len(lr_maxima(pi)),
-        "m_occurrences": occurrences(M, pi),
+        "m_occurrences": m_occurrences,
         "indecomposable": is_indecomposable(pi),
         "in_class": member,
-        "primitive": member and occurrences(M, pi) == 0,
+        "primitive": member and m_occurrences == 0,
     }
 
 

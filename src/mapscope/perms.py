@@ -14,10 +14,12 @@ tuple is the empty permutation.  Three pattern flavors are supported:
 All three flavors share one matcher.  Candidates grow left to right,
 depth-first, and each new letter is checked against its neighbours by rank
 in the base's argsort, so no subset is ever sorted.  Shaded cells (mesh
-patterns, Branden and Claesson 2011) are merged into rectangles whose
-emptiness is read off a dominance-count table of the host, built at most
-once per call, in O(1) per rectangle.  `avoids` stops at the first
-occurrence, and `occurrences` counts without listing them.
+patterns, Branden and Claesson 2011) take one of two forms.  A fully shaded
+inner column only says that its two letters are adjacent, so it is matched
+as a vincular adjacency.  The other cells are merged into rectangles, each
+tested on prefix bit-sets of the host's values (n + 1 ints, built once per
+call).  `avoids` stops at the first occurrence, and `occurrences` counts
+without listing them.
 
 The class Av(3142, 2-41-3) is in bijection with beta(1,0)-trees: a tree on
 n+1 nodes corresponds to a permutation of length n (the single-node tree to
@@ -155,12 +157,15 @@ def _plan(pattern) -> tuple[tuple, tuple]:
     steps[i] = (lo, hi, adjacent) for the i-th letter of the base.  Among
     the base's first i letters, lo is the index of the one just below it in
     value and hi of the one just above (-1: none), both read off the base's
-    argsort; adjacent says a vincular pattern pins the letter right after
-    the previous one.
+    argsort; adjacent says the letter must sit right after the previous one.
+    That holds for a vincular pattern's adjacencies and, once every cell is
+    validated, for each fully shaded inner column of a mesh pattern: no
+    letter may fall between its two letters.  The outer columns 0 and k
+    stay shading.
 
-    rects merges each column's vertically contiguous shaded cells into one
-    rectangle (xa, xb, ya, yb) of indices into a candidate padded as
-    e = (*positions, n, -1): it spans the columns strictly between
+    rects merges each column's remaining vertically contiguous shaded cells
+    into one rectangle (xa, xb, ya, yb) of indices into a candidate padded
+    as e = (*positions, n, -1): it spans the columns strictly between
     e[xa] and e[xb] and the values strictly between pi[e[ya]] and
     pi[e[yb]], where pi is padded as (*pi, n + 1, 0) so that the
     sentinels read as the grid's edges.
@@ -172,9 +177,21 @@ def _plan(pattern) -> tuple[tuple, tuple]:
     k = len(base)
     if sorted(base) != list(range(1, k + 1)):
         raise ValueError(f"pattern base is not a permutation: {base!r}")
-    adjacent = pattern.adjacent if isinstance(pattern, VincularPattern) else ()
+    vincular = isinstance(pattern, VincularPattern)
+    adjacent = set(pattern.adjacent) if vincular else set()
     if any(not 1 <= i < k for i in adjacent):
         raise ValueError(f"adjacency outside 1..{k - 1}: {sorted(adjacent)}")
+    shaded = set(pattern.shaded) if isinstance(pattern, MeshPattern) else set()
+    for a, b in shaded:
+        if not (0 <= a <= k and 0 <= b <= k):
+            raise ValueError(
+                f"shaded cell {(a, b)} outside the {k + 1}x{k + 1} grid"
+            )
+    for a in range(1, k):  # a fully shaded inner column: an adjacency
+        column = {(a, b) for b in range(k + 1)}
+        if column <= shaded:
+            adjacent.add(a)
+            shaded -= column
     order = sorted(range(k), key=base.__getitem__)
     steps = []
     for i, v in enumerate(base):
@@ -183,13 +200,8 @@ def _plan(pattern) -> tuple[tuple, tuple]:
         lo = below[-1] if below else -1
         hi = above[0] if above else -1
         steps.append((lo, hi, i in adjacent))
-    shaded = sorted(pattern.shaded) if isinstance(pattern, MeshPattern) else []
     runs: list[list[int]] = []  # [column, first row, last row]
-    for a, b in shaded:
-        if not (0 <= a <= k and 0 <= b <= k):
-            raise ValueError(
-                f"shaded cell {(a, b)} outside the {k + 1}x{k + 1} grid"
-            )
+    for a, b in sorted(shaded):
         if runs and runs[-1][0] == a and runs[-1][2] == b - 1:
             runs[-1][2] = b
         else:
@@ -199,42 +211,6 @@ def _plan(pattern) -> tuple[tuple, tuple]:
         for a, b0, b1 in runs
     )
     return tuple(steps), rects
-
-
-def _dominance_table(pi: Permutation) -> list[list[int]]:
-    """table[x][y] = #{j < x : pi[j] < y} for 0 <= x <= n and 0 <= y <= n + 1.
-
-    Built once per host in O(n^2); the letters at positions x0 <= j < x1
-    with values y0 <= v < y1 then number
-    table[x1][y1] - table[x0][y1] - table[x1][y0] + table[x0][y0].
-    """
-    row = [0] * (len(pi) + 2)
-    table = [row]
-    for v in pi:
-        row = row[: v + 1] + [c + 1 for c in row[v + 1 :]]
-        table.append(row)
-    return table
-
-
-def _mesh_occurrence_ok(
-    pat: MeshPattern, pi: Permutation, positions: tuple[int, ...]
-) -> bool:
-    """Whether no letter of pi falls in a shaded cell around one candidate.
-
-    positions are 0-based indices into pi, already order-isomorphic to base.
-    This scans the letters inside each shaded rectangle, O(n) per rectangle
-    with no table: the right trade for callers that test one candidate per
-    host (the empty base, one_step_expansions) and for a lone candidate
-    before _unshaded has built its dominance-count table.
-    """
-    n = len(pi)
-    e = (*positions, n, -1)
-    pix = (*pi, n + 1, 0)
-    for xa, xb, ya, yb in _plan(pat)[1]:
-        lo, hi = pix[e[ya]], pix[e[yb]]
-        if any(lo < pi[j] < hi for j in range(e[xa] + 1, e[xb])):
-            return False
-    return True
 
 
 def _extend(p: tuple[int, ...], step, pi: Permutation, k: int) -> list:
@@ -278,31 +254,27 @@ def _candidate_blocks(steps, pi: Permutation):
                 yield block
 
 
-def _unshaded(blocks, pattern: MeshPattern, rects, pi: Permutation):
+def _unshaded(blocks, rects, pi: Permutation):
     """Yield the candidates of blocks whose shaded rectangles hold no letter.
 
-    The rectangles are counted on a dominance-count table of pi, built at
-    most once per call: O(1) per rectangle.  Until a block of two or more
-    candidates calls for the table, a lone candidate is checked by
-    _mesh_occurrence_ok instead.
+    Every rectangle is tested on prefix bit-sets of pi, built once per call
+    in O(n): sets[x] has bit v set for each value v among pi[:x], so
+    sets[x1] ^ sets[x0] holds the values at positions x0..x1-1, and its
+    bits strictly between lo and hi are the letters in the rectangle.
     """
     n = len(pi)
     pix = (*pi, n + 1, 0)
-    table = None
+    sets = [0]
+    for v in pi:
+        sets.append(sets[-1] | 1 << v)
     for block in blocks:
-        if table is None and len(block) == 1:
-            if _mesh_occurrence_ok(pattern, pi, block[0]):
-                yield block
-            continue
-        if table is None:
-            table = _dominance_table(pi)
         kept = []
         for c in block:
             e = (*c, n, -1)
             for xa, xb, ya, yb in rects:
-                x0, x1 = e[xa] + 1, e[xb]
-                y0, y1 = pix[e[ya]] + 1, pix[e[yb]]
-                if table[x1][y1] - table[x0][y1] - table[x1][y0] + table[x0][y0]:
+                lo, hi = pix[e[ya]], pix[e[yb]]
+                found = (sets[e[xb]] ^ sets[e[xa] + 1]) >> (lo + 1)
+                if found & ((1 << (hi - lo - 1)) - 1):
                     break
             else:
                 kept.append(c)
@@ -315,11 +287,9 @@ def _occurrence_blocks(pattern, pi: Permutation):
     if not isinstance(pattern, (MeshPattern, VincularPattern)):
         pattern = tuple(pattern)
     steps, rects = _plan(pattern)
-    if not steps:
-        # The empty base still carries its shading: cell (0,0) is the whole grid.
-        return iter([[()]] if _mesh_occurrence_ok(pattern, pi, ()) else [])
-    blocks = _candidate_blocks(steps, pi)
-    return _unshaded(blocks, pattern, rects, pi) if rects else blocks
+    # The empty base has one candidate, (); its shading still applies.
+    blocks = _candidate_blocks(steps, pi) if steps else iter([[()]])
+    return _unshaded(blocks, rects, pi) if rects else blocks
 
 
 def occurrence_positions(pattern, pi: Permutation) -> list[tuple[int, ...]]:
@@ -550,11 +520,12 @@ def one_step_expansions(pi: Permutation) -> list[Permutation]:
     n = len(pi)
     out = set()
     for i in range(n):  # insert right after position i (0-based)
-        for y in range(1, pi[i] + 1):
+        # Lowering y only widens M's shaded cell, so stop at the first miss.
+        for y in range(pi[i], 0, -1):
             bumped = tuple(v if v < y else v + 1 for v in pi)
             sigma = bumped[: i + 1] + (y,) + bumped[i + 1 :]
-            if not _mesh_occurrence_ok(M, sigma, (i, i + 1)):
-                continue
+            if (i, i + 1) not in occurrence_positions(M, sigma):
+                break
             if in_class(sigma):
                 out.add(sigma)
     return sorted(out)

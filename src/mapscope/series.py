@@ -3,10 +3,11 @@
 Series arithmetic is exact: a `RationalSeries` keeps each coefficient as an
 int when it is integral and as a `fractions.Fraction` otherwise.  Every
 quotient goes through `_div`, which keeps integral quotients as ints, so all
-named series but A_HYP (a hypergeometric sum over the rationals) are built
-in int arithmetic.  Floating point appears only in the asymptotic estimators
-and the singularity solver, which run at 30 significant digits (mpmath)
-whatever the caller's precision.  A `RationalSeries` holds coefficients
+named series but A_HYP are built in int arithmetic; A_HYP is built over the
+rationals, each term from the last by its hypergeometric term ratio.
+Floating point appears only in the asymptotic estimators and the
+singularity solver, which run at 30 significant digits (mpmath) whatever
+the caller's precision.  A `RationalSeries` holds coefficients
 0..order; binary operations truncate to the shorter operand.
 
 Named series (`series(name, N)`):
@@ -396,27 +397,14 @@ def pprime_coefficient(n: int) -> int:
     return p_coefficient(n) - p_coefficient(n - 1)
 
 
-def _rising(a: Fraction, k: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(k):
-        out *= a + i
-    return out
-
-
 def _a_hyp(order: int) -> RationalSeries:
     # A = (2/3x)(F([-2/3,-1/3],[1/2],27x/4) - 1); F's x^(n+1) term feeds [x^n]A.
+    # F's terms: t_0 = 1, t_{k+1} = t_k * 3(3k-2)(3k-1) / (2(2k+1)(k+1)).
     coeffs = []
-    a1, a2, b1 = Fraction(-2, 3), Fraction(-1, 3), Fraction(1, 2)
-    for n in range(order + 1):
-        k = n + 1
-        fk = (
-            _rising(a1, k)
-            * _rising(a2, k)
-            / _rising(b1, k)
-            / math.factorial(k)
-            * Fraction(27, 4) ** k
-        )
-        coeffs.append(Fraction(2, 3) * fk)
+    t = Fraction(1)
+    for k in range(order + 1):
+        t *= Fraction(3 * (3 * k - 2) * (3 * k - 1), 2 * (2 * k + 1) * (k + 1))
+        coeffs.append(Fraction(2, 3) * t)
     return RationalSeries(tuple(coeffs))
 
 

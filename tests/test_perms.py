@@ -1,4 +1,6 @@
 import itertools
+import random
+import tracemalloc
 from functools import lru_cache
 
 from mapscope.perms import (
@@ -173,11 +175,56 @@ def test_mesh_matcher_agrees_with_naive_on_length_3():
     agrees()
 
 
+def test_mesh_matcher_agrees_with_naive_on_long_hosts():
+    'Hosts of 31-70 letters, so the value bit-sets span several int digits'
+    # Fully shaded outer columns (0 and k) stay shading, not adjacency.
+    outer_left = MeshPattern((2, 1), frozenset({(0, 0), (0, 1), (0, 2)}))
+    outer_right = MeshPattern((1, 2), frozenset({(2, 0), (2, 1), (2, 2), (1, 1)}))
+    rng = random.Random(20120208)
+    hosts = []
+    for _ in range(6):
+        pi = list(range(1, rng.randint(31, 70) + 1))
+        rng.shuffle(pi)
+        hosts.append(tuple(pi))
+    hosts.append(tuple(range(40, 0, -1)))
+    for pat in (M, M_PRIME, INS1, INS2, outer_left, outer_right):
+        for pi in hosts:
+            assert occurrences(pat, pi) == (
+                naive_mesh_occurrences(pat.base, pat.shaded, pi)
+            )
+
+
+def test_m_count_on_a_long_host_is_linear_in_memory():
+    'M on 2,000 letters: one adjacency and one shaded cell, not O(n^2) work'
+    rng = random.Random(1202)
+    pi = list(range(1, 2001))
+    rng.shuffle(pi)
+    pi = tuple(pi)
+    tracemalloc.start()
+    try:
+        count = occurrences(M, pi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+    # An occurrence is a descent pi[i] pi[i+1] with no later letter
+    # strictly between its two values.
+    expected = sum(
+        1
+        for i in range(len(pi) - 1)
+        if pi[i] > pi[i + 1]
+        and not any(pi[i + 1] < v < pi[i] for v in pi[i + 2 :])
+    )
+    assert count == expected
+
+
 def test_malformed_patterns_rejected():
     for pattern in (
         (1, 3),
         VincularPattern((2, 1), frozenset({2})),
         MeshPattern((2, 1), frozenset({(3, 0)})),
+        # A fully shaded inner column plus a cell off the grid.
+        MeshPattern((2, 1), frozenset({(1, 0), (1, 1), (1, 2), (1, 5)})),
     ):
         with pytest.raises(ValueError):
             occurrences(pattern, (2, 1))
