@@ -1,0 +1,120 @@
+"""Time the exact-coefficient rows of the perf record; median of REPEAT runs.
+
+    python scripts/bench_rows.py LABEL=SRC [LABEL=SRC ...]
+
+Each SRC is a directory that holds the `mapscope` package (a checkout's
+`src`).  Each label is timed in a fresh interpreter, so two trees never
+share imports or caches.  Library rows run in-process, with every
+`lru_cache` of `mapscope.series` and `mapscope.verify` cleared before each
+run, so each run pays what a cold process pays.  The CLI row runs
+`python -m mapscope.cli` as a subprocess, interpreter start-up included.
+Prints one JSON document: a machine header, then per label and row the
+median and every run, in seconds.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+CLI_ARGS = ["series", "--name", "p", "--terms", "400"]
+REPEAT = 5
+
+
+def _library_rows():
+    # The package's `series` function shadows the submodule's name.
+    series = importlib.import_module("mapscope.series")
+    verify = importlib.import_module("mapscope.verify")
+
+    return {
+        "check_asymptotics()": verify.check_asymptotics,
+        "p_coefficient(1000)": lambda: series.p_coefficient(1000),
+        "primitive_maps_with_edges(1000)": lambda: series.primitive_maps_with_edges(1000),
+        'series("P", 240)': lambda: series.series("P", 240),
+        'series("P", 400)': lambda: series.series("P", 400),
+        'series("B1", 1000)': lambda: series.series("B1", 1000),
+        'series("B2", 1000)': lambda: series.series("B2", 1000),
+        'series("B3", 800)': lambda: series.series("B3", 800),
+    }, [
+        f
+        for module in (series, verify)
+        for f in vars(module).values()
+        if hasattr(f, "cache_clear")
+    ]
+
+
+def _time_rows(src: str) -> dict:
+    sys.path.insert(0, src)
+    rows, caches = _library_rows()
+    runs: dict[str, list[float]] = {name: [] for name in rows}
+    runs["mapscope " + " ".join(CLI_ARGS)] = []
+    env = {**os.environ, "PYTHONPATH": src}
+    cli = [sys.executable, "-m", "mapscope.cli", *CLI_ARGS]
+    for _ in range(REPEAT):
+        for name, fn in rows.items():
+            for cache in caches:
+                cache.cache_clear()
+            start = time.perf_counter()
+            fn()
+            runs[name].append(time.perf_counter() - start)
+        start = time.perf_counter()
+        subprocess.run(cli, env=env, stdout=subprocess.DEVNULL, check=True)
+        runs["mapscope " + " ".join(CLI_ARGS)].append(time.perf_counter() - start)
+    return {
+        name: {"median_s": round(statistics.median(ts), 6), "runs_s": [round(t, 6) for t in ts]}
+        for name, ts in runs.items()
+    }
+
+
+def _machine() -> dict:
+    cpu = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo") as info:
+            cpu = next(
+                line.split(":", 1)[1].strip() for line in info if line.startswith("model name")
+            )
+    except (OSError, StopIteration):
+        pass
+    return {
+        "cpu": cpu,
+        "cpus": os.cpu_count(),
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "date_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--worker", help=argparse.SUPPRESS)
+    parser.add_argument("trees", nargs="*", metavar="LABEL=SRC")
+    args = parser.parse_args(argv)
+    if args.worker:
+        json.dump(_time_rows(args.worker), sys.stdout)
+        return 0
+    if not args.trees or any("=" not in t for t in args.trees):
+        parser.error("give at least one LABEL=SRC")
+    out = {"machine": _machine(), "repeat": REPEAT, "timings": {}}
+    for tree in args.trees:
+        label, src = tree.split("=", 1)
+        done = subprocess.run(
+            [sys.executable, __file__, "--worker", os.path.abspath(src)],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        out["timings"][label] = json.loads(done.stdout)
+    json.dump(out, sys.stdout, indent=2)
+    print()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -518,13 +518,15 @@ def one_step_expansions(pi: Permutation) -> list[Permutation]:
     """
     _require_member(pi)
     n = len(pi)
+    _, rects = _plan(M)
     out = set()
     for i in range(n):  # insert right after position i (0-based)
         # Lowering y only widens M's shaded cell, so stop at the first miss.
         for y in range(pi[i], 0, -1):
             bumped = tuple(v if v < y else v + 1 for v in pi)
             sigma = bumped[: i + 1] + (y,) + bumped[i + 1 :]
-            if (i, i + 1) not in occurrence_positions(M, sigma):
+            # The descent (i, i + 1) is an occurrence iff M's rectangles are empty.
+            if not any(_unshaded([[(i, i + 1)]], rects, sigma)):
                 break
             if in_class(sigma):
                 out.add(sigma)

@@ -17,10 +17,12 @@ Named series (`series(name, N)`):
 * A_ZEIL    -- 2 + x*B where B solves the cubic
   B = 1 - 8x + 2x(5-6x)B - 2x^2(1+3x)B^2 - x^4 B^3;
 * A_HYP     -- (2/3x)(F([-2/3,-1/3],[1/2],27x/4) - 1);
-* P         -- A(x/(1+x));  PPRIME -- (1-x) P;
+* P         -- A(x/(1+x)), the binomial transform of A's coefficients, read off
+  their difference table (no `compose`);  PPRIME -- (1-x) P;
 * B1        -- (1+x-sqrt(1-2x-3x^2))/(2(1+x)) (labels <= 1, no only children);
 * B2        -- (1+3x+4x^2-sqrt(1-2x-7x^2))/(4+8x) (labels <= 2), the
-  solution of a quadratic functional equation;
+  solution of a quadratic functional equation; each square root costs O(N)
+  through the recurrence of f s' = f' s / 2 (`sqrt_series`);
 * B3        -- quartic functional equation (labels <= 3), seed y(0) = 0.
 """
 
@@ -178,6 +180,9 @@ def _coerce(v, order: int) -> RationalSeries:
 def sqrt_series(f: RationalSeries, order: int | None = None) -> RationalSeries:
     """Series square root; requires f(0) = 1.
 
+    s = sqrt(f) solves f s' = f' s / 2, so 2k s_k = sum_{i>=1} f_i s_{k-i} (3i - 2k):
+    one product per nonzero f_i, linear in the order for a polynomial radicand.
+
     >>> sqrt_series(RationalSeries.poly([1, -2, -3], 4)).coeffs
     (1, -1, -2, -2, -4)
     >>> sqrt_series(RationalSeries.poly([1, -1], 3)).coeffs
@@ -186,13 +191,11 @@ def sqrt_series(f: RationalSeries, order: int | None = None) -> RationalSeries:
     if f.coeffs[0] != 1:
         raise ValueError("sqrt_series requires constant term 1")
     n = f.order if order is None else min(order, f.order)
-    a = f.coeffs
+    terms = [(i, a) for i, a in enumerate(f.coeffs[1 : n + 1], 1) if a]
     s = [1] + [0] * n
     for k in range(1, n + 1):
-        acc = a[k]
-        for i in range(1, k):
-            acc -= s[i] * s[k - i]
-        s[k] = _div(acc, 2)
+        acc = sum(a * s[k - i] * (3 * i - 2 * k) for i, a in terms if i <= k)
+        s[k] = _div(acc, 2 * k)
     return RationalSeries(tuple(s))
 
 
@@ -363,6 +366,36 @@ def maps_with_edges(m: int) -> int:
     return 1 if m == 1 else tutte_count(m - 1)
 
 
+def _tutte_terms(n: int) -> list[int]:
+    """[tutte_count(0), ..., tutte_count(n)], each from the last by its term ratio."""
+    t = [2]
+    for k in range(n):  # t_(k+1) / t_k = 3(3k+1)(3k+2) / ((2k+3)(2k+4))
+        t.append(t[-1] * 3 * (3 * k + 1) * (3 * k + 2) // ((2 * k + 3) * (2 * k + 4)))
+    return t
+
+
+def _binomial_transform(terms: list[int], n: int) -> int:
+    """b_n = sum_{k=1..n} terms[k] (-1)^(n-k) C(n-1, n-k) = [x^n] T(x/(1+x)) for
+    T = sum_k terms[k] x^k, in n products: each binomial from the last by ratio.
+    """
+    total, c = 0, 1
+    for j in range(n):  # c = (-1)^j C(n-1, j), the weight of terms[n - j]
+        total += c * terms[n - j]
+        c = -c * (n - 1 - j) // (j + 1)
+    return total
+
+
+def _binomial_prefix(terms: list[int]) -> list[int]:
+    """[b_1, ..., b_N] of `_binomial_transform` for N = len(terms) - 1, in N^2/2
+    subtractions: b_n is the (n-1)-th forward difference of terms[1:] at 0.
+    """
+    row, out = terms[1:], []
+    while row:
+        out.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return out
+
+
 @lru_cache(maxsize=None)
 def primitive_maps_with_edges(m: int) -> int:
     """Count of maps with m edges and no internal 2-face.
@@ -370,24 +403,21 @@ def primitive_maps_with_edges(m: int) -> int:
     Computed from the exact substitution identity P_M(x) = M(x/(1+x)) between
     the edge-marking series (M for all maps, P_M for the 2-face-free interiors),
     which the verify suites confirm against direct enumeration at desk scale:
-    p_m = sum_k maps_with_edges(k) * (-1)^(m-k) * C(m-1, m-k).
+    p_m = sum_k maps_with_edges(k) * (-1)^(m-k) * C(m-1, m-k), a binomial
+    transform over the map counts' term ratio: O(m) big-int products.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    total = 0
-    for k in range(1, m + 1):
-        total += maps_with_edges(k) * (-1) ** (m - k) * math.comb(m - 1, m - k)
-    return total
+    return _binomial_transform([0, 1] + _tutte_terms(m - 1)[1:], m)
 
 
 def p_coefficient(n: int) -> int:
-    """Exact [x^n] of P = A(x/(1+x)) under the [x^0]A = 2 convention."""
+    """Exact [x^n] of P = A(x/(1+x)) under the [x^0]A = 2 convention: for n >= 1,
+    sum_k tutte_count(k) (-1)^(n-k) C(n-1, n-k) over the term ratio, O(n) products.
+    """
     if n == 0:
         return 2
-    total = 0
-    for k in range(1, n + 1):
-        total += tutte_count(k) * (-1) ** (n - k) * math.comb(n - 1, n - k)
-    return total
+    return _binomial_transform(_tutte_terms(n), n)
 
 
 def pprime_coefficient(n: int) -> int:
@@ -406,11 +436,6 @@ def _a_hyp(order: int) -> RationalSeries:
         t *= Fraction(3 * (3 * k - 2) * (3 * k - 1), 2 * (2 * k + 1) * (k + 1))
         coeffs.append(Fraction(2, 3) * t)
     return RationalSeries(tuple(coeffs))
-
-
-def _x_over_one_plus_x(order: int) -> RationalSeries:
-    one_plus_x = RationalSeries.poly([1, 1], order)
-    return RationalSeries.x(order) / one_plus_x
 
 
 A_FORMULA = "A_FORMULA"
@@ -454,7 +479,7 @@ def series(name: str, order: int) -> RationalSeries:
     if name == A_HYP:
         return _a_hyp(order)
     if name == P:
-        return compose(series(A_FORMULA, order), _x_over_one_plus_x(order))
+        return RationalSeries((2, *_binomial_prefix(_tutte_terms(order))))
     if name == PPRIME:
         return RationalSeries.poly([1, -1], order) * series(P, order)
     if name == B1:

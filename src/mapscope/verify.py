@@ -645,7 +645,7 @@ def check_series_identities(order: int = 30) -> VerificationReport:
 
     The three A routes agree; B2's closed form solves its equation; B3's
     first ten coefficients are 1, 0, 1, 1, 5, 13, 48, 160, 578, 2078; PPRIME
-    is (1-x)P; and the binomial sum reproduces P's coefficients.
+    is (1-x)P and the binomial sum gives P, for P = A(x/(1+x)) by `compose`.
     """
     if not 1 <= order <= 30:
         raise ValueError("order is guarded to 1..30")
@@ -665,7 +665,8 @@ def check_series_identities(order: int = 30) -> VerificationReport:
     got = tuple(int(b3[i]) for i in range(1, len(printed) + 1))
     if got != printed:
         witnesses.append((f"B3 x^1..x^{len(printed)}", str(printed), str(got)))
-    p_ser = series(P, order)
+    sub = RationalSeries.x(order) / RationalSeries.poly([1, 1], order)
+    p_ser = compose(a_formula, sub)
     pprime_ser = series(PPRIME, order)
     expected_pprime = RationalSeries.poly([1, -1], order) * p_ser
     if pprime_ser != expected_pprime:

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from mapscope.series import (
     exact_coefficient,
     maps_with_edges,
     p_coefficient,
+    pprime_coefficient,
     primitive_maps_with_edges,
     series,
     solve_equation,
@@ -81,6 +83,70 @@ def test_primitive_map_counts():
         assert p_coefficient(n) == PRIMITIVE_MAP_COUNTS[n] + PRIMITIVE_MAP_COUNTS[n - 1]
 
 
+def _factorial_tutte(k):
+    return 4 * math.factorial(3 * k) // (math.factorial(k) * math.factorial(2 * k + 2))
+
+
+def _binomial_sum(values, n):
+    'sum_{k=1..n} values[k] (-1)^(n-k) C(n-1, n-k), each binomial by math.comb'
+    return sum(values[k] * (-1) ** (n - k) * math.comb(n - 1, n - k) for k in range(1, n + 1))
+
+
+def test_binomial_transforms_match_factorial_reference():
+    'P, PPRIME and 2-face-free counts against factorials and math.comb'
+    tutte = [_factorial_tutte(k) for k in range(1001)]
+    maps = [0, 1] + tutte[1:1000]  # maps_with_edges(m) = tutte(m - 1), m >= 2
+
+    def p_ref(n):
+        return 2 if n == 0 else _binomial_sum(tutte, n)
+
+    for n in [*range(1, 41), 200, 1000]:
+        assert p_coefficient(n) == p_ref(n)
+        assert pprime_coefficient(n) == p_ref(n) - p_ref(n - 1)
+        assert primitive_maps_with_edges(n) == _binomial_sum(maps, n)
+
+
+def test_p_series_matches_composition():
+    'series(P) and series(PPRIME) against A(x/(1+x)) built by compose'
+    order = 60
+    sub = RationalSeries.x(order) / RationalSeries.poly([1, 1], order)
+    composed = compose(series(A_FORMULA, order), sub)
+    assert series(P, order) == composed
+    assert series(PPRIME, order) == RationalSeries.poly([1, -1], order) * composed
+
+
+def _convolution_sqrt(coeffs):
+    's_k = (f_k - sum_{0<i<k} s_i s_(k-i)) / 2, the schoolbook square root'
+    s = [Fraction(1)]
+    for k in range(1, len(coeffs)):
+        s.append(Fraction(coeffs[k] - sum(s[i] * s[k - i] for i in range(1, k))) / 2)
+    return s
+
+
+def test_sqrt_series_property():
+    'sqrt_series(f)^2 == f, and the convolution reference agrees, for sparse and dense f'
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ints = st.integers(-9, 9)
+    fracs = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    spots = st.dictionaries(st.integers(1, 30), st.one_of(ints, fracs), max_size=3)
+    dense = st.lists(st.one_of(ints, fracs), max_size=20).map(
+        lambda cs: dict(enumerate(cs, 1))
+    )
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(st.one_of(spots, dense), st.integers(1, 30))
+    def roots(spec, order):
+        coeffs = [1] + [spec.get(k, 0) for k in range(1, order + 1)]
+        f = RationalSeries.poly(coeffs, order)
+        s = sqrt_series(f)
+        assert s * s == f
+        assert list(s.coeffs) == _convolution_sqrt(coeffs)
+        assert all(type(c) is int or c.denominator != 1 for c in s.coeffs)
+
+    roots()
+
+
 def test_zeilberger_cubic():
     'The cubic solution B satisfies 2 + xB = A'
     b = solve_equation(ZEILBERGER_CUBIC, 6)
@@ -108,6 +174,11 @@ def test_solve_equation_with_rational_coefficients():
 
 def test_integral_coefficients_are_ints():
     assert type(series(B3, 50)[50]) is int
+    for name in (P, PPRIME, B1, B2):
+        assert all(type(c) is int for c in series(name, 200).coeffs)
+    assert all(type(c) is int for c in sqrt_series(RationalSeries.poly([1, -2, -7], 200)).coeffs)
+    for f in (p_coefficient, pprime_coefficient, primitive_maps_with_edges):
+        assert type(f(300)) is int
 
 
 def test_b3_equation_residual_and_seed():
