@@ -42,6 +42,10 @@ def _library_rows():
         'series("B1", 1000)': lambda: series.series("B1", 1000),
         'series("B2", 1000)': lambda: series.series("B2", 1000),
         'series("B3", 800)': lambda: series.series("B3", 800),
+        'series("A_ZEIL", 800)': lambda: series.series("A_ZEIL", 800),
+        "solve_equation(B3_EQUATION, 201)": lambda: series.solve_equation(
+            series.B3_EQUATION, 201
+        ),
     }, [
         f
         for module in (series, verify)

@@ -494,6 +494,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"mapscope: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("mapscope: input nests too deeply for the recursive tree walks", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         return 0
 

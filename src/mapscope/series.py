@@ -8,7 +8,10 @@ rationals, each term from the last by its hypergeometric term ratio.
 Floating point appears only in the asymptotic estimators and the
 singularity solver, which run at 30 significant digits (mpmath) whatever
 the caller's precision.  A `RationalSeries` holds coefficients
-0..order; binary operations truncate to the shorter operand.
+0..order; binary operations truncate to the shorter operand.  A product
+forms each coefficient as one dot product, and a square takes each symmetric
+pair once.  Functional equations are solved online, one coefficient at a
+time (`solve_equation`).
 
 Named series (`series(name, N)`):
 
@@ -18,12 +21,14 @@ Named series (`series(name, N)`):
   B = 1 - 8x + 2x(5-6x)B - 2x^2(1+3x)B^2 - x^4 B^3;
 * A_HYP     -- (2/3x)(F([-2/3,-1/3],[1/2],27x/4) - 1);
 * P         -- A(x/(1+x)), the binomial transform of A's coefficients, read off
-  their difference table (no `compose`);  PPRIME -- (1-x) P;
+  their difference table (no `compose`);  PPRIME -- (1-x) P, P's first
+  differences;
 * B1        -- (1+x-sqrt(1-2x-3x^2))/(2(1+x)) (labels <= 1, no only children);
 * B2        -- (1+3x+4x^2-sqrt(1-2x-7x^2))/(4+8x) (labels <= 2), the
   solution of a quadratic functional equation; each square root costs O(N)
   through the recurrence of f s' = f' s / 2 (`sqrt_series`);
-* B3        -- quartic functional equation (labels <= 3), seed y(0) = 0.
+* B3        -- quartic functional equation (labels <= 3), seed y(0) = 0,
+  about N^2 big-int products to order N.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 import mpmath
 
@@ -134,15 +140,10 @@ class RationalSeries:
         if isinstance(other, (int, Fraction)):
             return RationalSeries(tuple(a * other for a in self.coeffs))
         n = min(self.order, other.order)
-        terms = [(j, b) for j, b in enumerate(other.coeffs[: n + 1]) if b]
-        out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a:
-                for j, b in terms:
-                    if i + j > n:
-                        break
-                    out[i + j] += a * b
-        return RationalSeries(tuple(out))
+        a, b = self.coeffs, other.coeffs  # map() stops at the reversed slice's end
+        if other is self:
+            return RationalSeries(tuple(_square_term(a, k) for k in range(n + 1)))
+        return RationalSeries(tuple(sum(map(mul, a, b[k::-1])) for k in range(n + 1)))
 
     __rmul__ = __mul__
 
@@ -167,8 +168,13 @@ class RationalSeries:
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalSeries) and self.coeffs == other.coeffs
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
+
+def _square_term(p, k: int) -> int | Fraction:
+    """[x^k] of the square of the series with coefficients p: each symmetric
+    pair p_i p_(k-i), i < k - i, is multiplied once and doubled."""
+    h = (k + 1) // 2
+    s = 2 * sum(map(mul, p, p[k : k - h : -1]))
+    return s + p[h] ** 2 if k % 2 == 0 else s
 
 
 def _coerce(v, order: int) -> RationalSeries:
@@ -293,52 +299,51 @@ B3_EQUATION = EquationSpec.make(
 )
 
 
-def _q_and_qy(spec: EquationSpec, y: RationalSeries) -> tuple[RationalSeries, RationalSeries]:
-    """Q(x, y) and dQ/dy(x, y), truncated to y's order.
+def _online_solution(spec: EquationSpec, order: int, qy0) -> list:
+    """[y_0, ..., y_order]; powers[j][k] holds [x^k] y^j.
 
-    Q has few monomials, so the powers of y are built once and each monomial
-    adds its shifted power into Q and dQ/dy.
+    Step n first builds each power's n-th entry with y_n = 0 (even powers as
+    squares, odd ones as y^(j-1) y), solves the linear [x^n] Q = 0 for y_n,
+    then adds y_n's share j seed^(j-1) y_n to each power.
     """
-    n = y.order
-    powers = [RationalSeries.poly([1], n), y]
-    for _ in range(spec.y_degree() - 1):
-        powers.append(powers[-1] * y)
-    q = [0] * (n + 1)
-    qy = [0] * (n + 1)
-
-    def add(acc, c, i, power):
-        for k, p in enumerate(power.coeffs[: n + 1 - i], i):
-            if p:
-                acc[k] += c * p
-
-    for (i, j), c in spec.coeffs:
-        if i > n:
-            continue
-        add(q, c, i, powers[j])
-        if j:
-            add(qy, c * j, i, powers[j - 1])
-    return RationalSeries(tuple(q)), RationalSeries(tuple(qy))
+    seed = spec.seed
+    powers = [[seed**j] + [0] * order for j in range(spec.y_degree() + 1)]
+    y = powers[1]
+    for n in range(1, order + 1):
+        for j in range(2, len(powers)):
+            if j % 2 == 0:
+                powers[j][n] = _square_term(powers[j // 2], n)
+            else:
+                powers[j][n] = sum(map(mul, powers[j - 1], y[n::-1]))
+        yn = _div(-sum(c * powers[j][n - i] for (i, j), c in spec.coeffs if i <= n), qy0)
+        for j in range(1, len(powers)):
+            powers[j][n] += j * seed ** (j - 1) * yn
+    return y
 
 
 def solve_equation(spec: EquationSpec, order: int) -> RationalSeries:
     """Unique series y with y(0) = seed and Q(x, y) = 0 mod x^(order+1).
 
-    Newton iteration with order doubling (Brent and Kung, 1978), exact
-    throughout.  The residual is asserted to vanish before returning.
+    Solved online (van der Hoeven's relaxed solving, 2002): [x^n] Q(x, y) is
+    linear in y_n with slope dQ/dy(0, seed), so each y_n costs about deg(Q, y)
+    dot products.  The residual, rebuilt from series products, is asserted
+    to vanish before returning.
     """
     q0, qy0 = spec.q_at_seed()
     if q0 != 0:
         raise ValueError("seed does not satisfy Q(0, y0) = 0")
     if qy0 == 0:
         raise ValueError("degenerate seed: dQ/dy(0, y0) = 0")
-    y = RationalSeries((spec.seed,))
-    while y.order < order:
-        new_order = min(2 * y.order + 1, order)
-        y = RationalSeries(y.coeffs + (0,) * (new_order - y.order))
-        q, qy = _q_and_qy(spec, y)
-        y = y - q / qy
-    residual, _ = _q_and_qy(spec, y)
-    if not residual.is_zero():
+    y = RationalSeries(tuple(_online_solution(spec, order, qy0)))
+    powers = [RationalSeries.poly([1], order), y]
+    for j in range(2, spec.y_degree() + 1):
+        half = powers[j // 2]
+        powers.append(half * half if j % 2 == 0 else powers[j - 1] * y)
+    residual = [0] * (order + 1)
+    for (i, j), c in spec.coeffs:
+        for k, p in enumerate(powers[j].coeffs[: max(order + 1 - i, 0)], i):
+            residual[k] += c * p
+    if any(residual):
         raise AssertionError("functional equation residual is nonzero")
     return y
 
@@ -396,7 +401,7 @@ def _binomial_prefix(terms: list[int]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def primitive_maps_with_edges(m: int) -> int:
     """Count of maps with m edges and no internal 2-face.
 
@@ -474,14 +479,15 @@ def series(name: str, order: int) -> RationalSeries:
     if name == A_FORMULA:
         return RationalSeries(tuple(tutte_count(n) for n in range(order + 1)))
     if name == A_ZEIL:
-        b = solve_equation(ZEILBERGER_CUBIC, order)
-        return 2 + RationalSeries.x(order) * b
+        b = solve_equation(ZEILBERGER_CUBIC, order - 1)
+        return RationalSeries((2, *b.coeffs))  # 2 + x B
     if name == A_HYP:
         return _a_hyp(order)
     if name == P:
         return RationalSeries((2, *_binomial_prefix(_tutte_terms(order))))
     if name == PPRIME:
-        return RationalSeries.poly([1, -1], order) * series(P, order)
+        p = series(P, order).coeffs
+        return RationalSeries((p[0], *(b - a for a, b in zip(p, p[1:]))))
     if name == B1:
         return b1_closed_form(order)
     if name == B2:

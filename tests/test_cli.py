@@ -236,3 +236,19 @@ def test_bad_choice(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--object", "widgets", "--size", "3"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stats", "--object", "tree"],
+        ["biject", "--from", "tree", "--to", "perm"],
+        ["biject", "--from", "tree", "--to", "map"],
+    ],
+)
+def test_deep_tree_exits_with_diagnostic(argv, capsys, monkeypatch):
+    'A path 3,000 levels deep exits 2 with one line, not a traceback'
+    code, out, err = run(argv, capsys, monkeypatch, stdin="(1" * 3000 + ")" * 3000 + "\n")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("mapscope: ") and err.count("\n") == 1

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -170,6 +171,77 @@ def test_solve_equation_with_rational_coefficients():
     expected = 1 - sqrt_series(RationalSeries.poly([1, -1], 12))
     assert solve_equation(spec, 12) == expected
     assert expected[1] == Fraction(1, 2)
+
+
+def _picard(seed, r_terms, order):
+    'y = seed + x R(x, y) by fixed-point iteration over lists; each pass fixes one more coefficient'
+    y = [seed] + [0] * order
+    for _ in range(order):
+        rhs = [seed] + [0] * order
+        for (i, j), c in r_terms.items():
+            power = [1] + [0] * order
+            for _ in range(j):
+                power = [sum(power[a] * y[k - a] for a in range(k + 1)) for k in range(order + 1)]
+            for k in range(order - i):
+                rhs[k + i + 1] += c * power[k]
+        y = rhs
+    return y
+
+
+def test_solve_equation_matches_picard_iteration():
+    'Q = -y + seed + x R(x, y) over ints and Fractions: the online solve equals fixed-point iteration'
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeff = st.one_of(
+        st.integers(-6, 6), st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    )
+    r_terms = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 4)), coeff, max_size=6)
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(coeff.filter(bool), r_terms, st.integers(0, 10))
+    def solves(seed, r, order):
+        q = {(i + 1, j): c for (i, j), c in r.items()}
+        q[(0, 0)], q[(0, 1)] = seed, -1
+        y = solve_equation(EquationSpec.make(q, seed), order)
+        assert list(y.coeffs) == _picard(seed, r, order)
+
+    solves()
+
+
+def test_squaring_equals_general_product():
+    'a * a (the symmetric path) equals a times an equal but distinct series'
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeff = st.one_of(
+        st.integers(-10**30, 10**30), st.fractions(min_value=-5, max_value=5, max_denominator=9)
+    )
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(st.lists(coeff, min_size=1, max_size=25))
+    def squares(cs):
+        a = RationalSeries(tuple(cs))
+        b = RationalSeries(a.coeffs)
+        assert b is not a
+        assert a * a == a * b == b * a
+        assert list((a * a).coeffs) == [
+            sum(Fraction(cs[i]) * cs[k - i] for i in range(k + 1)) for k in range(len(cs))
+        ]
+
+    squares()
+
+
+def test_a_cubic_matches_closed_form_at_high_order():
+    'The seed-1 cubic solve against the independent closed form, far past the prefixes'
+    assert series(A_ZEIL, 400) == series(A_FORMULA, 400)
+
+
+def test_b3_coefficient_800_pinned():
+    '[x^800] B3, pinned from the earlier Newton solver as the SHA-256 of its digits'
+    c = series(B3, 800)[800]
+    assert type(c) is int and len(str(c)) == 497
+    assert hashlib.sha256(str(c).encode()).hexdigest() == (
+        "f2822f195bcb024c2fd267ccd53f8410acf3dc416582aebb2fab15eb9703211b"
+    )
 
 
 def test_integral_coefficients_are_ints():
