@@ -1,13 +1,16 @@
-"""Time the exact-coefficient rows of the perf record; median of REPEAT runs.
+"""Time the rows of the perf record; median of REPEAT runs.
 
     python scripts/bench_rows.py LABEL=SRC [LABEL=SRC ...]
 
 Each SRC is a directory that holds the `mapscope` package (a checkout's
-`src`).  Each label is timed in a fresh interpreter, so two trees never
-share imports or caches.  Library rows run in-process, with every
-`lru_cache` of `mapscope.series` and `mapscope.verify` cleared before each
-run, so each run pays what a cold process pays.  The CLI row runs
-`python -m mapscope.cli` as a subprocess, interpreter start-up included.
+`src`).  Each repeat times every row once per label, each label in a fresh
+interpreter, so two trees never share imports or caches; the labels take
+turns, in alternating order, so a drift in machine speed reaches them all
+alike.  Library rows run in-process, with every
+`lru_cache` of `mapscope.series`, `mapscope.trees` and `mapscope.verify`
+cleared before each run, so each run pays what a cold process pays.  The
+CLI rows run `python -m mapscope.cli` as a subprocess, interpreter start-up
+included.
 Prints one JSON document: a machine header, then per label and row the
 median and every run, in seconds.  Standard library only.
 """
@@ -24,13 +27,18 @@ import subprocess
 import sys
 import time
 
-CLI_ARGS = ["series", "--name", "p", "--terms", "400"]
+CLI_ROWS = [
+    ["series", "--name", "p", "--terms", "400"],
+    ["enumerate", "--object", "trees", "--size", "9", "--filter", "labels-max=3",
+     "--filter", "no-only-children", "--count-only"],
+]
 REPEAT = 5
 
 
 def _library_rows():
     # The package's `series` function shadows the submodule's name.
     series = importlib.import_module("mapscope.series")
+    trees = importlib.import_module("mapscope.trees")
     verify = importlib.import_module("mapscope.verify")
 
     return {
@@ -46,35 +54,35 @@ def _library_rows():
         "solve_equation(B3_EQUATION, 201)": lambda: series.solve_equation(
             series.B3_EQUATION, 201
         ),
+        "count_trees(10)": lambda: trees.count_trees(10),
     }, [
         f
-        for module in (series, verify)
+        for module in (series, trees, verify)
         for f in vars(module).values()
         if hasattr(f, "cache_clear")
     ]
 
 
-def _time_rows(src: str) -> dict:
+def _time_rows(src: str) -> dict[str, float]:
+    """Seconds of one run of every row."""
     sys.path.insert(0, src)
     rows, caches = _library_rows()
-    runs: dict[str, list[float]] = {name: [] for name in rows}
-    runs["mapscope " + " ".join(CLI_ARGS)] = []
-    env = {**os.environ, "PYTHONPATH": src}
-    cli = [sys.executable, "-m", "mapscope.cli", *CLI_ARGS]
-    for _ in range(REPEAT):
-        for name, fn in rows.items():
-            for cache in caches:
-                cache.cache_clear()
-            start = time.perf_counter()
-            fn()
-            runs[name].append(time.perf_counter() - start)
+    out = {}
+    for name, fn in rows.items():
+        for cache in caches:
+            cache.cache_clear()
         start = time.perf_counter()
-        subprocess.run(cli, env=env, stdout=subprocess.DEVNULL, check=True)
-        runs["mapscope " + " ".join(CLI_ARGS)].append(time.perf_counter() - start)
-    return {
-        name: {"median_s": round(statistics.median(ts), 6), "runs_s": [round(t, 6) for t in ts]}
-        for name, ts in runs.items()
-    }
+        fn()
+        out[name] = time.perf_counter() - start
+    env = {**os.environ, "PYTHONPATH": src}
+    for args in CLI_ROWS:
+        start = time.perf_counter()
+        subprocess.run(
+            [sys.executable, "-m", "mapscope.cli", *args],
+            env=env, stdout=subprocess.DEVNULL, check=True,
+        )
+        out["mapscope " + " ".join(args)] = time.perf_counter() - start
+    return out
 
 
 def _machine() -> dict:
@@ -105,16 +113,25 @@ def main(argv=None) -> int:
         return 0
     if not args.trees or any("=" not in t for t in args.trees):
         parser.error("give at least one LABEL=SRC")
-    out = {"machine": _machine(), "repeat": REPEAT, "timings": {}}
-    for tree in args.trees:
-        label, src = tree.split("=", 1)
-        done = subprocess.run(
-            [sys.executable, __file__, "--worker", os.path.abspath(src)],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        out["timings"][label] = json.loads(done.stdout)
+    trees = [tree.split("=", 1) for tree in args.trees]
+    runs: dict[str, dict[str, list[float]]] = {label: {} for label, _ in trees}
+    for repeat in range(REPEAT):
+        for label, src in trees if repeat % 2 == 0 else trees[::-1]:
+            done = subprocess.run(
+                [sys.executable, __file__, "--worker", os.path.abspath(src)],
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            for name, seconds in json.loads(done.stdout).items():
+                runs[label].setdefault(name, []).append(seconds)
+    out = {"machine": _machine(), "repeat": REPEAT, "timings": {
+        label: {
+            name: {"median_s": round(statistics.median(ts), 6), "runs_s": [round(t, 6) for t in ts]}
+            for name, ts in rows.items()
+        }
+        for label, rows in runs.items()
+    }}
     json.dump(out, sys.stdout, indent=2)
     print()
     return 0

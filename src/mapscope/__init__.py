@@ -8,7 +8,6 @@ from .trees import (
     LabeledTree,
     TreeStats,
     count_trees,
-    enumerate_restricted_trees,
     enumerate_trees,
     format_tree,
     has_no_only_children,

@@ -55,12 +55,10 @@ from .perms import (
     tree_to_perm,
 )
 from .trees import (
-    enumerate_trees,
+    _iter_trees,
     format_tree,
-    has_no_only_children,
     is_k_face_free_tree,
     is_primitive_tree,
-    iter_subtrees,
     mef_necessary,
     parse_tree,
     tree_stats,
@@ -99,43 +97,47 @@ def _check_size_cap(size: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Filters (tree-side predicates; maps and permutations inherit them through
-# the bijections, which the verify suites certify)
+# Filters (tree-side; maps and permutations inherit them through the
+# bijections, which the verify suites certify)
 # ---------------------------------------------------------------------------
 
 
-def _labels_max(t, cap: int) -> bool:
-    return all(
-        s.label <= cap for child in t.children for s in iter_subtrees(child)
-    )
+def _filter_value(spec: str) -> int:
+    try:
+        return int(spec.partition("=")[2])
+    except ValueError:
+        raise _UsageError(f"bad filter value: {spec!r}") from None
 
 
-def _parse_filter(spec: str):
-    if spec == "primitive":
-        return is_primitive_tree
-    if spec == "two-face-free":
-        return lambda t: is_k_face_free_tree(t, 2)
-    if spec == "mef-necessary":
-        return mef_necessary
-    if spec == "no-only-children":
-        return has_no_only_children
-    if spec.startswith("k-face-free="):
-        try:
-            k = int(spec.partition("=")[2])
-        except ValueError:
-            raise _UsageError(f"bad filter value: {spec!r}") from None
-        if k not in (2, 3, 4):
-            raise _UsageError("k-face-free filter supports k in {2, 3, 4}")
-        return lambda t: is_k_face_free_tree(t, k)
-    if spec.startswith("labels-max="):
-        try:
-            cap = int(spec.partition("=")[2])
-        except ValueError:
-            raise _UsageError(f"bad filter value: {spec!r}") from None
-        if cap < 1:
-            raise _UsageError("labels-max filter requires a cap >= 1")
-        return lambda t: _labels_max(t, cap)
-    raise _UsageError(f"unknown filter: {spec!r}")
+def _parse_filters(specs):
+    """(label cap, no-only-children switch, predicates) for the --filter specs.
+
+    `labels-max` and `no-only-children` prune the enumeration; the smallest
+    of several caps wins.  The other filters test each generated tree.
+    """
+    cap, forbid, predicates = None, False, []
+    for spec in specs:
+        if spec == "primitive":
+            predicates.append(is_primitive_tree)
+        elif spec == "two-face-free":
+            predicates.append(lambda t: is_k_face_free_tree(t, 2))
+        elif spec == "mef-necessary":
+            predicates.append(mef_necessary)
+        elif spec == "no-only-children":
+            forbid = True
+        elif spec.startswith("k-face-free="):
+            k = _filter_value(spec)
+            if k not in (2, 3, 4):
+                raise _UsageError("k-face-free filter supports k in {2, 3, 4}")
+            predicates.append(lambda t, k=k: is_k_face_free_tree(t, k))
+        elif spec.startswith("labels-max="):
+            value = _filter_value(spec)
+            if value < 1:
+                raise _UsageError("labels-max filter requires a cap >= 1")
+            cap = value if cap is None else min(cap, value)
+        else:
+            raise _UsageError(f"unknown filter: {spec!r}")
+    return cap, forbid, predicates
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +198,8 @@ def _cmd_enumerate(args) -> int:
             raise _UsageError("--size must be >= 1")
         tree_nodes = size
     _check_size_cap(size)
-    predicates = [_parse_filter(f) for f in args.filter or []]
-    selected = (
-        t for t in enumerate_trees(tree_nodes) if all(p(t) for p in predicates)
-    )
+    cap, forbid, predicates = _parse_filters(args.filter or [])
+    selected = (t for t in _iter_trees(tree_nodes, cap, forbid) if all(p(t) for p in predicates))
     if args.count_only:
         count = sum(1 for _ in selected)
         if args.format == "json":
@@ -222,29 +222,35 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _iter_stdin_objects():
-    for line in sys.stdin:
+def _map_stdin(convert):
+    """convert(line) for each non-blank stdin line.
+
+    A ValueError is re-raised with the number of its line, counting every
+    physical line from 1.
+    """
+    for number, line in enumerate(sys.stdin, 1):
         line = line.strip()
-        if line:
-            yield line
+        if not line:
+            continue
+        try:
+            out = convert(line)
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
+        yield out
 
 
 def _cmd_biject(args) -> int:
     src, dst = getattr(args, "from"), args.to
-    if src == "tree":
-        parse = parse_tree
-    else:
-        parse = parse_perm
 
-    def convert(obj):
-        t = obj if src == "tree" else perm_to_tree(obj)
+    def convert(line):
+        t = parse_tree(line) if src == "tree" else perm_to_tree(parse_perm(line))
         if dst == "tree":
             return format_tree(t)
         if dst == "map":
             return format_map(tree_to_map(t))
         return format_perm(tree_to_perm(t))
 
-    texts = (convert(parse(line)) for line in _iter_stdin_objects())
+    texts = _map_stdin(convert)
     _emit_objects(texts, dst, args.format, sys.stdout)
     return 0
 
@@ -292,7 +298,7 @@ def _tree_stat_row(line: str) -> dict:
         "root_label": st.root_label,
         "single_child_max_nodes": st.single_child_max_nodes,
         "decomposable": st.decomposable,
-        "primitive": is_primitive_tree(t),
+        "primitive": st.single_child_max_nodes == 0,
     }
 
 
@@ -334,7 +340,7 @@ def _cmd_stats(args) -> int:
         "perm": (_perm_stat_row, _PERM_STAT_FIELDS),
     }[args.object]
     builder, fields = row_of
-    rows = (builder(line) for line in _iter_stdin_objects())
+    rows = _map_stdin(builder)
     _emit_rows(rows, fields, args.format, sys.stdout)
     return 0
 

@@ -353,6 +353,18 @@ def format_map(m: CombinatorialMap) -> str:
     )
 
 
+def _json_int(value) -> int:
+    if type(value) is not int:  # rejects floats, strings and bools
+        raise ValueError(f"expected an integer, got {json.dumps(value)}")
+    return value
+
+
+def _json_ints(value) -> tuple[int, ...]:
+    if type(value) is not list:
+        raise ValueError(f"expected a list, got {json.dumps(value)}")
+    return tuple(map(_json_int, value))
+
+
 def parse_map(text: str) -> CombinatorialMap:
     try:
         obj = json.loads(text)
@@ -360,10 +372,10 @@ def parse_map(text: str) -> CombinatorialMap:
         raise ValueError(f"malformed map record: {exc}") from None
     try:
         m = CombinatorialMap(
-            n_darts=int(obj["n_darts"]),
-            alpha=tuple(int(x) for x in obj["alpha"]),
-            sigma=tuple(int(x) for x in obj["sigma"]),
-            root=int(obj["root"]),
+            n_darts=_json_int(obj["n_darts"]),
+            alpha=_json_ints(obj["alpha"]),
+            sigma=_json_ints(obj["sigma"]),
+            root=_json_int(obj["root"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed map record: {exc}") from None

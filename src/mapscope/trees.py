@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Iterator, Optional
 
 __all__ = [
@@ -30,7 +31,6 @@ __all__ = [
     "validate_tree",
     "is_valid_tree",
     "enumerate_trees",
-    "enumerate_restricted_trees",
     "count_trees",
     "tree_stats",
     "is_primitive_tree",
@@ -142,7 +142,8 @@ def _require_valid(t: LabeledTree) -> None:
 # Order contract: subtree-size compositions of the children are generated in
 # lexicographic order; for a fixed composition the child choices vary
 # rightmost-fastest; for non-root internal nodes the label loop is innermost
-# and ascending.  This makes every enumerator's output order reproducible.
+# and ascending.  This makes the enumeration order reproducible, and a label
+# cap or the no-only-children rule keeps the surviving trees in that order.
 # ---------------------------------------------------------------------------
 
 
@@ -157,39 +158,55 @@ def _compositions(n: int) -> Iterator[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _subtrees_free_top(n: int) -> tuple[LabeledTree, ...]:
-    """All n-node trees valid below a parent: top label ranges over 1..children-sum."""
+def _subtrees_free_top(n: int, cap: Optional[int], forbid: bool) -> tuple[LabeledTree, ...]:
+    """All n-node trees valid below a parent: top label ranges over 1..children-sum.
+
+    Every label of the subtree is at most `cap` (None: uncapped), and with
+    `forbid` no node of it has exactly one child.
+    """
     if n == 1:
         return (leaf(),)
     out: list[LabeledTree] = []
-    for comp in _compositions(n - 1):
-        for kids in _product_choices(comp):
-            top = sum(c.label for c in kids)
-            for lab in range(1, top + 1):
-                out.append(LabeledTree(lab, kids))
+    for kids in _forests(n - 1, cap, forbid):
+        top = sum(c.label for c in kids)
+        if cap is not None:
+            top = min(top, cap)
+        out.extend(LabeledTree(lab, kids) for lab in range(1, top + 1))
     return tuple(out)
 
 
-def _product_choices(comp: tuple[int, ...]) -> Iterator[tuple[LabeledTree, ...]]:
-    if not comp:
-        yield ()
+def _forests(n: int, cap: Optional[int], forbid: bool) -> Iterator[tuple[LabeledTree, ...]]:
+    """Ordered forests with n >= 1 nodes in all, as child tuples, in contract order."""
+    for comp in _compositions(n):
+        if forbid and len(comp) == 1:
+            continue
+        yield from product(*(_subtrees_free_top(k, cap, forbid) for k in comp))
+
+
+def _iter_trees(nodes: int, label_cap: Optional[int], forbid: bool) -> Iterator[LabeledTree]:
+    """The trees of `enumerate_trees`, one at a time; the arguments are not checked."""
+    if nodes == 1:
+        yield leaf()
         return
-    for head in _subtrees_free_top(comp[0]):
-        for tail in _product_choices(comp[1:]):
-            yield (head,) + tail
+    for kids in _forests(nodes - 1, label_cap, forbid):
+        yield LabeledTree(sum(c.label for c in kids), kids)
 
 
-def enumerate_trees(nodes: int) -> list[LabeledTree]:
-    """All beta(1,0)-trees with exactly `nodes` nodes, in the documented order."""
+def enumerate_trees(
+    nodes: int, label_cap: Optional[int] = None, forbid_only_children: bool = False
+) -> list[LabeledTree]:
+    """All beta(1,0)-trees with exactly `nodes` nodes, in the documented order.
+
+    With `label_cap`, only trees whose non-root labels are <= label_cap (the
+    cap does not apply to the root); with `forbid_only_children`, only trees
+    in which no node, root included, has exactly one child.  Both restrictions
+    prune the generation rather than filter its output.
+    """
     if nodes < 1:
         raise ValueError("empty tree not modeled")
-    if nodes == 1:
-        return [leaf()]
-    out: list[LabeledTree] = []
-    for comp in _compositions(nodes - 1):
-        for kids in _product_choices(comp):
-            out.append(LabeledTree(sum(c.label for c in kids), kids))
-    return out
+    if label_cap is not None and label_cap < 1:
+        raise ValueError("label_cap must be >= 1")
+    return list(_iter_trees(nodes, label_cap, forbid_only_children))
 
 
 def count_trees(nodes: int) -> int:
@@ -199,55 +216,6 @@ def count_trees(nodes: int) -> int:
     [1, 1, 2, 6, 22, 91]
     """
     return len(enumerate_trees(nodes))
-
-
-def enumerate_restricted_trees(
-    nodes: int, label_cap: int, forbid_only_children: bool
-) -> list[LabeledTree]:
-    """Trees whose non-root labels are <= label_cap, optionally with no only children.
-
-    The cap does not apply to the root.  With forbid_only_children, no node of
-    the tree (root included) has exactly one child.  Generated by a pruned
-    recursion rather than filtering `enumerate_trees`, so large caps stay cheap.
-    """
-    if nodes < 1:
-        raise ValueError("empty tree not modeled")
-    if label_cap < 1:
-        raise ValueError("label_cap must be >= 1")
-    if nodes == 1:
-        return [leaf()]
-
-    @lru_cache(maxsize=None)
-    def sub(n: int) -> tuple[LabeledTree, ...]:
-        # n-node subtrees hanging below some parent, capped top label.
-        if n == 1:
-            return (leaf(),)
-        out: list[LabeledTree] = []
-        for comp in _compositions(n - 1):
-            if forbid_only_children and len(comp) == 1:
-                continue
-            for kids in _choices(comp):
-                top = sum(c.label for c in kids)
-                for lab in range(1, min(top, label_cap) + 1):
-                    out.append(LabeledTree(lab, kids))
-        return tuple(out)
-
-    def _choices(comp: tuple[int, ...]) -> Iterator[tuple[LabeledTree, ...]]:
-        if not comp:
-            yield ()
-            return
-        for head in sub(comp[0]):
-            for tail in _choices(comp[1:]):
-                yield (head,) + tail
-
-    out: list[LabeledTree] = []
-    for comp in _compositions(nodes - 1):
-        if forbid_only_children and len(comp) == 1:
-            continue
-        for kids in _choices(comp):
-            out.append(LabeledTree(sum(c.label for c in kids), kids))
-    sub.cache_clear()
-    return out
 
 
 # ---------------------------------------------------------------------------

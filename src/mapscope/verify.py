@@ -68,7 +68,6 @@ from .series import (
 )
 from .trees import (
     LabeledTree,
-    enumerate_restricted_trees,
     enumerate_trees,
     is_k_face_free_tree,
     iter_subtrees,
@@ -505,13 +504,13 @@ def check_bounds(n_max: int = 8, coeff_nodes: int = 12) -> VerificationReport:
     for name, cap in ((B1, 1), (B2, 2), (B3, 3)):
         ser = series(name, coeff_nodes)
         for m in range(1, coeff_nodes + 1):
-            counted = len(enumerate_restricted_trees(m, cap, True))
+            counted = len(enumerate_trees(m, cap, True))
             if ser[m] != counted:
                 witnesses.append(
                     (f"[x^{m}] {name} vs cap-{cap} trees", str(counted), str(ser[m]))
                 )
     for m in range(2, n_max + 1):
-        cap3 = len(enumerate_restricted_trees(m, 3, True))
+        cap3 = len(enumerate_trees(m, 3, True))
         mef = 0
         two_face_free = 0
         for t in enumerate_trees(m):

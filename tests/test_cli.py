@@ -7,6 +7,13 @@ import sys
 import pytest
 
 from mapscope.cli import main
+from mapscope.trees import (
+    format_tree,
+    has_no_only_children,
+    is_primitive_tree,
+    iter_subtrees,
+    parse_tree,
+)
 
 FOUR_NODE_TREES = [
     "(3 (1) (1) (1))",
@@ -67,6 +74,37 @@ def test_enumerate_filters(capsys):
         capsys,
     )
     assert (code, out) == (0, "7\n")
+
+
+def _listing(capsys, size, *filters):
+    argv = ["enumerate", "--object", "trees", "--size", str(size)]
+    for f in filters:
+        argv += ["--filter", f]
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    return out.splitlines()
+
+
+def _labels_at_most(tree, cap):
+    return all(s.label <= cap for c in tree.children for s in iter_subtrees(c))
+
+
+@pytest.mark.parametrize(
+    "filters, keep",
+    [
+        (["labels-max=2", "no-only-children"],
+         lambda t: _labels_at_most(t, 2) and has_no_only_children(t)),
+        (["labels-max=2"], lambda t: _labels_at_most(t, 2)),
+        (["labels-max=3", "labels-max=1", "labels-max=2"], lambda t: _labels_at_most(t, 1)),
+        (["labels-max=2", "primitive"],
+         lambda t: _labels_at_most(t, 2) and is_primitive_tree(t)),
+    ],
+)
+def test_enumerate_pruning_filters(filters, keep, capsys):
+    'labels-max and no-only-children prune generation; the listing equals the filtered one'
+    for size in (6, 7):
+        everything = [parse_tree(line) for line in _listing(capsys, size)]
+        assert _listing(capsys, size, *filters) == [format_tree(t) for t in everything if keep(t)]
 
 
 def test_enumerate_size_guard(capsys):
@@ -236,6 +274,33 @@ def test_bad_choice(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--object", "widgets", "--size", "3"])
     assert exc.value.code == 2
+
+
+def test_malformed_map_record(capsys, monkeypatch):
+    'Floats, strings and booleans are not integers or lists in a map record'
+    line = '{"n_darts": 2.9, "alpha": "10", "sigma": [0, true], "root": false}\n'
+    code, out, err = run(["stats", "--object", "map"], capsys, monkeypatch, stdin=line)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("mapscope: line 1: malformed map record") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, good, bad",
+    [
+        (["stats", "--object", "tree"], "(1)", "(2 (1)"),
+        (["biject", "--from", "tree", "--to", "map"], "(1)", "(1 (2))"),
+        (["biject", "--from", "perm", "--to", "tree"], "1", "1 1"),
+        (["stats", "--object", "map"], '{"n_darts": 2, "alpha": [1, 0], "sigma": [0, 1], "root": 0}',
+         '{"n_darts": 2, "alpha": [1, 0], "sigma": [0, 1], "root": 2}'),
+    ],
+)
+def test_stream_error_names_its_line(argv, good, bad, capsys, monkeypatch):
+    'A bad third line exits 2 naming line 3; the blank second line counts'
+    code, out, err = run(argv, capsys, monkeypatch, stdin=f"{good}\n\n{bad}\n{good}\n")
+    assert code == 2
+    assert len(out.splitlines()) == 1
+    assert err.startswith("mapscope: line 3: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,6 @@ from mapscope.trees import (
     LabeledTree,
     children_sum,
     count_trees,
-    enumerate_restricted_trees,
     enumerate_trees,
     format_tree,
     has_max_label,
@@ -153,15 +152,36 @@ def test_restricted_enumeration_counts():
     b2 = [1, 0, 1, 1, 5, 11, 39, 113]
     b3 = [1, 0, 1, 1, 5, 13, 48, 160]
     for m in range(1, 9):
-        assert len(enumerate_restricted_trees(m, 1, True)) == b1[m - 1]
-        assert len(enumerate_restricted_trees(m, 2, True)) == b2[m - 1]
-        assert len(enumerate_restricted_trees(m, 3, True)) == b3[m - 1]
+        assert len(enumerate_trees(m, 1, True)) == b1[m - 1]
+        assert len(enumerate_trees(m, 2, True)) == b2[m - 1]
+        assert len(enumerate_trees(m, 3, True)) == b3[m - 1]
 
 
 def test_restricted_trees_respect_their_predicates():
-    for t in enumerate_restricted_trees(6, 2, True):
+    for t in enumerate_trees(6, 2, True):
         assert has_no_only_children(t)
         assert all(s.label <= 2 for s in iter_subtrees(t) if s is not t)
+
+
+def test_pruned_enumeration_equals_filtered():
+    'A label cap and the no-only-children rule prune to the filtered listing, in order'
+    for n in range(1, 9):
+        full = enumerate_trees(n)
+        for cap in range(1, 5):
+            for forbid in (False, True):
+                expected = [
+                    t
+                    for t in full
+                    if all(s.label <= cap for c in t.children for s in iter_subtrees(c))
+                    and (not forbid or has_no_only_children(t))
+                ]
+                assert enumerate_trees(n, cap, forbid) == expected
+        assert enumerate_trees(n, None, True) == [t for t in full if has_no_only_children(t)]
+
+
+def test_enumerate_rejects_bad_cap():
+    with pytest.raises(ValueError):
+        enumerate_trees(3, 0)
 
 
 def test_has_max_label_convention():
