@@ -9,6 +9,8 @@ turns, in alternating order, so a drift in machine speed reaches them all
 alike.  Library rows run in-process, with every
 `lru_cache` of `mapscope.series`, `mapscope.trees` and `mapscope.verify`
 cleared before each run, so each run pays what a cold process pays.  The
+per-object rows (map stats lines, tree -> perm -> tree and tree text round
+trips) time only the calls: their inputs are built once, before any row.  The
 CLI rows run `python -m mapscope.cli` as a subprocess, interpreter start-up
 included.
 Prints one JSON document: a machine header, then per label and row the
@@ -40,6 +42,13 @@ def _library_rows():
     series = importlib.import_module("mapscope.series")
     trees = importlib.import_module("mapscope.trees")
     verify = importlib.import_module("mapscope.verify")
+    maps = importlib.import_module("mapscope.maps")
+    perms = importlib.import_module("mapscope.perms")
+    cli = importlib.import_module("mapscope.cli")
+    # Inputs of the per-object rows, built before any row is timed.
+    map_lines = [maps.format_map(maps.tree_to_map(t)) for t in trees.enumerate_trees(8)]
+    nine = trees.enumerate_trees(9)
+    nine_texts = [trees.format_tree(t) for t in nine]
 
     return {
         "check_asymptotics()": verify.check_asymptotics,
@@ -55,6 +64,15 @@ def _library_rows():
             series.B3_EQUATION, 201
         ),
         "count_trees(10)": lambda: trees.count_trees(10),
+        "cli._map_stat_row, maps of all 8-node trees": lambda: [
+            cli._map_stat_row(line) for line in map_lines
+        ],
+        "tree_to_perm + perm_to_tree, all 9-node trees": lambda: [
+            perms.perm_to_tree(perms.tree_to_perm(t)) for t in nine
+        ],
+        "parse_tree + format_tree, all 9-node trees": lambda: [
+            trees.format_tree(trees.parse_tree(text)) for text in nine_texts
+        ],
     }, [
         f
         for module in (series, trees, verify)

@@ -29,7 +29,6 @@ from .maps import (
     has_multiple_edges,
     internal_2face_count,
     is_nonseparable,
-    is_valid_map,
     parse_map,
     tree_to_map,
     validate_map,

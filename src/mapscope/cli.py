@@ -59,9 +59,11 @@ from .trees import (
     format_tree,
     is_k_face_free_tree,
     is_primitive_tree,
+    iter_subtrees,
     mef_necessary,
     parse_tree,
     tree_stats,
+    validate_tree,
 )
 from .verify import SUITE_NAMES, _env_max_size, format_report, report_to_dict, run_suite
 
@@ -86,14 +88,27 @@ ASYMPT_BY_FLAG = {
 }
 
 
-class _UsageError(Exception):
-    pass
-
-
-def _check_size_cap(size: int) -> None:
-    cap = _env_max_size()
+def _check_size_cap(size: int, cap) -> None:
     if cap is not None and size > cap:
-        raise _UsageError(f"size {size} exceeds MAPSCOPE_MAX_SIZE={cap}")
+        raise ValueError(f"size {size} exceeds MAPSCOPE_MAX_SIZE={cap}")
+
+
+def _reader(kind: str):
+    """line -> the `kind` object on it, held to MAPSCOPE_MAX_SIZE (read once,
+    here) in `enumerate --size` units before any conversion."""
+    parse, size_of = {
+        "tree": (parse_tree, lambda t: sum(1 for _ in iter_subtrees(t))),
+        "map": (parse_map, lambda m: m.n_darts // 2),
+        "perm": (parse_perm, len),
+    }[kind]
+    cap = _env_max_size()
+
+    def read(line: str):
+        obj = parse(line)
+        _check_size_cap(size_of(obj), cap)
+        return obj
+
+    return parse if cap is None else read
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +121,7 @@ def _filter_value(spec: str) -> int:
     try:
         return int(spec.partition("=")[2])
     except ValueError:
-        raise _UsageError(f"bad filter value: {spec!r}") from None
+        raise ValueError(f"bad filter value: {spec!r}") from None
 
 
 def _parse_filters(specs):
@@ -128,15 +143,15 @@ def _parse_filters(specs):
         elif spec.startswith("k-face-free="):
             k = _filter_value(spec)
             if k not in (2, 3, 4):
-                raise _UsageError("k-face-free filter supports k in {2, 3, 4}")
+                raise ValueError("k-face-free filter supports k in {2, 3, 4}")
             predicates.append(lambda t, k=k: is_k_face_free_tree(t, k))
         elif spec.startswith("labels-max="):
             value = _filter_value(spec)
             if value < 1:
-                raise _UsageError("labels-max filter requires a cap >= 1")
+                raise ValueError("labels-max filter requires a cap >= 1")
             cap = value if cap is None else min(cap, value)
         else:
-            raise _UsageError(f"unknown filter: {spec!r}")
+            raise ValueError(f"unknown filter: {spec!r}")
     return cap, forbid, predicates
 
 
@@ -191,13 +206,13 @@ def _cmd_enumerate(args) -> int:
     size = args.size
     if args.object == "perms":
         if size < 0:
-            raise _UsageError("--size must be >= 0 for permutations")
+            raise ValueError("--size must be >= 0 for permutations")
         tree_nodes = size + 1
     else:
         if size < 1:
-            raise _UsageError("--size must be >= 1")
+            raise ValueError("--size must be >= 1")
         tree_nodes = size
-    _check_size_cap(size)
+    _check_size_cap(size, _env_max_size())
     cap, forbid, predicates = _parse_filters(args.filter or [])
     selected = (t for t in _iter_trees(tree_nodes, cap, forbid) if all(p(t) for p in predicates))
     if args.count_only:
@@ -241,14 +256,20 @@ def _map_stdin(convert):
 
 def _cmd_biject(args) -> int:
     src, dst = getattr(args, "from"), args.to
+    read = _reader(src)
 
     def convert(line):
-        t = parse_tree(line) if src == "tree" else perm_to_tree(parse_perm(line))
-        if dst == "tree":
-            return format_tree(t)
+        obj = read(line)
+        t = obj if src == "tree" else perm_to_tree(obj)
         if dst == "map":
             return format_map(tree_to_map(t))
-        return format_perm(tree_to_perm(t))
+        if dst == "perm":
+            return format_perm(tree_to_perm(t))
+        if src == "tree":  # the other legs validate inside the bijections
+            msg = validate_tree(t)
+            if msg != "ok":
+                raise ValueError(f"invalid tree: {msg}")
+        return format_tree(t)
 
     texts = _map_stdin(convert)
     _emit_objects(texts, dst, args.format, sys.stdout)
@@ -287,8 +308,8 @@ _PERM_STAT_FIELDS = [
 ]
 
 
-def _tree_stat_row(line: str) -> dict:
-    t = parse_tree(line)
+def _tree_stat_row(line: str, parse=parse_tree) -> dict:
+    t = parse(line)
     st = tree_stats(t)
     return {
         "tree": format_tree(t),
@@ -302,8 +323,8 @@ def _tree_stat_row(line: str) -> dict:
     }
 
 
-def _map_stat_row(line: str) -> dict:
-    m = parse_map(line)
+def _map_stat_row(line: str, parse=parse_map) -> dict:
+    m = parse(line)
     rep = faces(m)
     return {
         "map": format_map(m),
@@ -317,8 +338,8 @@ def _map_stat_row(line: str) -> dict:
     }
 
 
-def _perm_stat_row(line: str) -> dict:
-    pi = parse_perm(line)
+def _perm_stat_row(line: str, parse=parse_perm) -> dict:
+    pi = parse(line)
     member = in_class(pi)
     m_occurrences = occurrences(M, pi)
     return {
@@ -340,14 +361,15 @@ def _cmd_stats(args) -> int:
         "perm": (_perm_stat_row, _PERM_STAT_FIELDS),
     }[args.object]
     builder, fields = row_of
-    rows = _map_stdin(builder)
+    parse = _reader(args.object)
+    rows = _map_stdin(lambda line: builder(line, parse))
     _emit_rows(rows, fields, args.format, sys.stdout)
     return 0
 
 
 def _cmd_series(args) -> int:
     if args.terms < 1:
-        raise _UsageError("--terms must be >= 1")
+        raise ValueError("--terms must be >= 1")
     name = SERIES_BY_FLAG[args.name]
     ser = build_series(name, args.terms)
     if args.format == "csv":
@@ -383,7 +405,7 @@ def _cmd_series(args) -> int:
 
 def _cmd_asympt(args) -> int:
     if args.at < 1:
-        raise _UsageError("--at must be >= 1")
+        raise ValueError("--at must be >= 1")
     est = asymptotic(ASYMPT_BY_FLAG[args.name], args.at)
     text = mpmath.nstr(est, 12)
     if args.format == "json":
@@ -494,14 +516,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except ValueError as exc:  # usage and input errors alike
         print(f"mapscope: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"mapscope: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print("mapscope: input nests too deeply for the recursive tree walks", file=sys.stderr)
         return 2
     except BrokenPipeError:
         return 0

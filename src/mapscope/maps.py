@@ -14,13 +14,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .trees import LabeledTree, children_sum, validate_tree
+from .trees import LabeledTree, postorder, validate_tree
 
 __all__ = [
     "CombinatorialMap",
     "FaceReport",
     "validate_map",
-    "is_valid_map",
     "faces",
     "face_degrees",
     "is_nonseparable",
@@ -39,10 +38,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CombinatorialMap:
+    """A rooted planar map, valid once made: the constructor raises
+    ValueError("invalid map: ...") with the first violation `validate_map` finds."""
+
     n_darts: int
     alpha: tuple[int, ...]
     sigma: tuple[int, ...]
     root: int
+
+    def __post_init__(self) -> None:
+        msg = validate_map(self)
+        if msg != "ok":
+            raise ValueError(f"invalid map: {msg}")
 
     def phi(self, d: int) -> int:
         """Next dart along the face to the right of d."""
@@ -112,18 +119,7 @@ def validate_map(m: CombinatorialMap) -> str:
     return "ok"
 
 
-def is_valid_map(m: CombinatorialMap) -> bool:
-    return validate_map(m) == "ok"
-
-
-def _require_valid(m: CombinatorialMap) -> None:
-    msg = validate_map(m)
-    if msg != "ok":
-        raise ValueError(f"invalid map: {msg}")
-
-
 def faces(m: CombinatorialMap) -> FaceReport:
-    _require_valid(m)
     phi = tuple(m.sigma[m.alpha[d]] for d in range(m.n_darts))
     orbs = _orbits(phi)
     root_idx = next(i for i, orb in enumerate(orbs) if m.root in orb)
@@ -160,7 +156,6 @@ def _dart_vertex(m: CombinatorialMap) -> list[int]:
 
 def is_nonseparable(m: CombinatorialMap) -> bool:
     """No loops and no cut vertices (and at least one edge)."""
-    _require_valid(m)
     at = _dart_vertex(m)
     n_vertices = max(at) + 1
     edges = []  # (u, v) per edge, indexed by edge id
@@ -216,7 +211,6 @@ def is_nonseparable(m: CombinatorialMap) -> bool:
 
 def has_multiple_edges(m: CombinatorialMap) -> bool:
     """True iff two distinct edges share the same unordered endpoint pair."""
-    _require_valid(m)
     at = _dart_vertex(m)
     seen = set()
     for d in range(m.n_darts):
@@ -236,7 +230,6 @@ def canonical_code(m: CombinatorialMap) -> bytes:
     dart's sigma- and alpha-image in those ranks, which reconstructs the map
     up to dart relabeling.
     """
-    _require_valid(m)
     rank = {m.root: 0}
     order = [m.root]
     head = 0
@@ -259,21 +252,6 @@ def canonical_code(m: CombinatorialMap) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-class _Builder:
-    """Grow-only dart store used while assembling a map bottom-up."""
-
-    def __init__(self) -> None:
-        self.alpha: list[int] = []
-        self.sigma: list[int] = []
-
-    def new_edge(self) -> tuple[int, int]:
-        a = len(self.alpha)
-        b = a + 1
-        self.alpha.extend((b, a))
-        self.sigma.extend((a, b))  # each dart starts alone at its vertex
-        return a, b
-
-
 def tree_to_map(t: LabeledTree) -> CombinatorialMap:
     """The recursive bijection from beta(1,0)-trees to rooted non-separable maps.
 
@@ -284,55 +262,54 @@ def tree_to_map(t: LabeledTree) -> CombinatorialMap:
     non-root nodes with label i) stars the i-th vertex counterclockwise from
     the root vertex along the new root face.  Corners -- (dart, sigma(dart))
     pairs facing the outer face -- are carried explicitly so each splice is a
-    constant-time rotation update.
+    constant-time rotation update.  The nodes are built children first, in
+    `postorder`, so deep trees need no recursion.
     """
     msg = validate_tree(t)
     if msg != "ok":
         raise ValueError(f"invalid tree: {msg}")
-    b = _Builder()
-
-    def build(s: LabeledTree, is_root: bool):
-        # Returns (root_dart, R_corner, star_corner); star_corner is None for
-        # the global root.
-        if not s.children:
-            d, e = b.new_edge()
-            return d, (d, d), (e, e)
-        parts = [build(c, False) for c in s.children]
+    alpha: list[int] = []
+    sigma: list[int] = []
+    # (root_dart, R_corner, star_corner) of each node whose parent is not yet
+    # reached, leftmost deepest.
+    done: list[tuple[int, tuple[int, int], tuple[int, int]]] = []
+    for s in postorder(t):
+        # Every node adds one edge: a leaf's only edge, or an internal node's
+        # new root edge.  Each of its darts starts alone at its vertex.
+        u_dart, v_dart = len(alpha), len(alpha) + 1
+        alpha += (v_dart, u_dart)
+        sigma += (u_dart, v_dart)
+        m = len(s.children)
+        if m == 0:
+            done.append((u_dart, (u_dart, u_dart), (v_dart, v_dart)))
+            continue
+        parts = done[-m:]
+        del done[-m:]
         # Glue star(M_j) to the root vertex of M_{j+1}.
-        for (_, _, star_j), (_, r_next, _) in zip(parts, parts[1:]):
-            p, q = star_j
-            p2, q2 = r_next
-            b.sigma[p] = q2
-            b.sigma[p2] = q
-        # New root edge from star(M_m) to R(M_1).
-        u_dart, v_dart = b.new_edge()
+        for (_, _, (p, q)), (_, (p2, q2), _) in zip(parts, parts[1:]):
+            sigma[p], sigma[p2] = q2, q
+        # The new root edge runs from star(M_m) to R(M_1).
         p, q = parts[-1][2]
-        b.sigma[p] = u_dart
-        b.sigma[u_dart] = q
+        sigma[p], sigma[u_dart] = u_dart, q
         p, q = parts[0][1]
-        b.sigma[p] = v_dart
-        b.sigma[v_dart] = q
-        root_dart = u_dart
+        sigma[p], sigma[v_dart] = v_dart, q
         # Walk the new root face once; it has degree children-sum + 1.
-        walk = [root_dart]
-        d = b.sigma[b.alpha[root_dart]]
-        while d != root_dart:
+        walk = [u_dart]
+        d = sigma[alpha[u_dart]]
+        while d != u_dart:
             walk.append(d)
-            d = b.sigma[b.alpha[d]]
-        r_corner = (b.alpha[walk[-1]], walk[0])
-        if is_root:
-            return root_dart, r_corner, None
-        i = s.label  # star the i-th vertex counterclockwise after the root vertex
-        star_corner = (b.alpha[walk[i - 1]], walk[i])
-        return root_dart, r_corner, star_corner
-
-    root_dart, _, _ = build(t, True)
-    return CombinatorialMap(
-        n_darts=len(b.alpha),
-        alpha=tuple(b.alpha),
-        sigma=tuple(b.sigma),
-        root=root_dart,
-    )
+            d = sigma[alpha[d]]
+        r_corner = (alpha[walk[-1]], walk[0])
+        # Star the i-th vertex counterclockwise after the root vertex, i the
+        # node's label.  (The global root's star is never used; its label is
+        # the children-sum, so walk[i] still exists.)
+        i = s.label
+        done.append((u_dart, r_corner, (alpha[walk[i - 1]], walk[i])))
+    # Valid by construction (the table1 suite checks it with `validate_map`),
+    # so the map is made without __post_init__'s check.
+    out = object.__new__(CombinatorialMap)
+    out.__dict__.update(n_darts=len(alpha), alpha=tuple(alpha), sigma=tuple(sigma), root=done[0][0])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -368,21 +345,15 @@ def _json_ints(value) -> tuple[int, ...]:
 def parse_map(text: str) -> CombinatorialMap:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed map record: {exc}") from None
-    try:
-        m = CombinatorialMap(
-            n_darts=_json_int(obj["n_darts"]),
-            alpha=_json_ints(obj["alpha"]),
-            sigma=_json_ints(obj["sigma"]),
-            root=_json_int(obj["root"]),
+        fields = (
+            _json_int(obj["n_darts"]),
+            _json_ints(obj["alpha"]),
+            _json_ints(obj["sigma"]),
+            _json_int(obj["root"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ValueError(f"malformed map record: {exc}") from None
-    msg = validate_map(m)
-    if msg != "ok":
-        raise ValueError(f"invalid map: {msg}")
-    return m
+    return CombinatorialMap(*fields)  # raises "invalid map: ..." for a bad rotation system
 
 
 # ---------------------------------------------------------------------------

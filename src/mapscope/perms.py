@@ -35,7 +35,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .trees import LabeledTree, children_sum, validate_tree
+from .trees import LabeledTree, postorder, validate_tree
 
 __all__ = [
     "Permutation",
@@ -409,19 +409,19 @@ def tree_to_perm(t: LabeledTree) -> Permutation:
 
 
 def _ttp(t: LabeledTree) -> Permutation:
-    if not t.children:
-        return ()
-    if len(t.children) >= 2:
-        hung = (
-            LabeledTree(c.label, (c,)) for c in t.children
-        )
-        return direct_sum(*(_ttp(h) for h in hung))
-    child = t.children[0]
-    a = t.label
-    if not child.children:
-        return (1,)
-    relabeled = LabeledTree(children_sum(child), child.children)
-    return insert_largest(_ttp(relabeled), a)
+    """Writing H(c) for a non-root node c: H(leaf) = (1,), and otherwise
+    H(c) = insert_largest(the direct sum of H over c's children, c.label).
+    The permutation of t is the direct sum of H over the root's children."""
+    done: list[Permutation] = []  # H of the nodes whose parent is not yet reached
+    for s in postorder(t)[:-1]:
+        m = len(s.children)
+        if m == 0:
+            done.append((1,))
+        else:
+            kids = done[-m:]
+            del done[-m:]
+            done.append(insert_largest(direct_sum(*kids), s.label))
+    return direct_sum(*done)
 
 
 def perm_to_tree(pi: Permutation) -> LabeledTree:
@@ -431,47 +431,42 @@ def perm_to_tree(pi: Permutation) -> LabeledTree:
 
 
 def _ptt(pi: Permutation) -> LabeledTree:
+    """Unfold _ttp's H: the root's children come from the components of pi;
+    an indecomposable p != (1,) gives a node labeled with the insertion index
+    of p's largest letter, whose children come from the rest of p."""
     if not pi:
         return LabeledTree(1, ())
-    comps = components(pi)
-    if len(comps) >= 2:
-        kids = []
-        for comp in comps:
-            sub = _ptt(comp)
-            kids.append(sub.children[0])
-        return LabeledTree(sum(c.label for c in kids), tuple(kids))
-    if pi == (1,):
-        return LabeledTree(1, (LabeledTree(1, ()),))
-    n = len(pi)
-    r = pi.index(n)  # 0-based position of the largest letter
-    c_part = pi[r + 1 :]
-    prefix = pi[:r]
-    # A~ is the longest suffix of the prefix holding exactly the values
-    # n-a .. n-1; everything else in the prefix is B~.
-    a_len = 0
-    for cand in range(len(prefix), -1, -1):
-        tail = prefix[len(prefix) - cand :]
-        if sorted(tail) == list(range(n - cand, n)):
-            a_len = cand
-            break
-    b_part = prefix[: len(prefix) - a_len]
-    a_part = prefix[len(prefix) - a_len :]
-    lift = len(a_part)
-    sigma = (
-        flatten(a_part)
-        + tuple(v + lift for v in flatten(b_part + c_part)[: len(b_part)])
-        + (n,)
-        + tuple(v + lift for v in flatten(b_part + c_part)[len(b_part) :])
-    )
-    q = len(a_part) + len(b_part) + 1  # 1-based position of n in sigma
-    reduced = sigma[: q - 1] + sigma[q:]
-    maxima = lr_maxima(reduced)
-    if q not in maxima:
-        raise ValueError(f"not in the image of the insertion step: {format_perm(pi)}")
-    j = maxima.index(q) + 1  # n was inserted before this LR-max
-    sub = _ptt(reduced)
-    child = LabeledTree(j, sub.children)
-    return LabeledTree(j, (child,))
+    # (label, number of children) of each non-root node, in preorder.
+    nodes: list[tuple[int, int]] = []
+    todo = components(pi)[::-1]  # indecomposable parts still to unfold, leftmost last
+    while todo:
+        p = todo.pop()
+        if p == (1,):
+            nodes.append((1, 0))
+            continue
+        n = len(p)
+        r = p.index(n)  # 0-based position of the largest letter
+        # A~ is the longest suffix of p[:r] holding exactly the values
+        # n-a .. n-1; the rest of p[:r] is B~.
+        a = next(a for a in range(r, -1, -1) if sorted(p[r - a : r]) == list(range(n - a, n)))
+        # Undo the rearrangement, B~ A~ n C~ -> A B n C, and drop n.
+        reduced = flatten(p[r - a : r]) + tuple(v + a for v in flatten(p[: r - a] + p[r + 1 :]))
+        maxima = lr_maxima(reduced)
+        if r + 1 not in maxima:
+            raise ValueError(f"not in the image of the insertion step: {format_perm(p)}")
+        j = maxima.index(r + 1) + 1  # n was inserted before this LR-max
+        parts = components(reduced)
+        nodes.append((j, len(parts)))
+        todo.extend(reversed(parts))
+    # Fold in reverse preorder: a node's children are then the top entries,
+    # leftmost child on top.
+    built: list[LabeledTree] = []
+    for label, m in reversed(nodes):
+        kids = built[len(built) - m :]
+        del built[len(built) - m :]
+        built.append(LabeledTree(label, tuple(reversed(kids))))
+    kids = tuple(reversed(built))
+    return LabeledTree(sum(c.label for c in kids), kids)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ __all__ = [
     "parse_tree",
     "format_tree",
     "iter_subtrees",
+    "postorder",
 ]
 
 
@@ -94,36 +95,51 @@ def iter_subtrees(t: LabeledTree) -> Iterator[LabeledTree]:
         stack.extend(reversed(s.children))
 
 
-def _path_str(path: tuple[int, ...]) -> str:
-    return "root" if not path else "root." + ".".join(map(str, path))
+def postorder(t: LabeledTree) -> list[LabeledTree]:
+    """All subtrees of t, children first and left to right (t last): the
+    right-to-left preorder, reversed.  Folded over a stack of results, a node
+    with m children finds theirs on top, leftmost deepest."""
+    order = []
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        order.append(s)
+        stack.extend(s.children)
+    order.reverse()
+    return order
 
 
 def validate_tree(t: LabeledTree) -> str:
     """Return "ok", or a description of the first violated invariant.
 
-    Nodes are addressed by the path of child indices from the root, e.g.
-    "root.0.2" is the third child of the root's first child.
+    Nodes are checked in preorder and addressed by the path of child indices
+    from the root, e.g. "root.0.2" is the third child of the root's first
+    child.
     """
-
-    def walk(s: LabeledTree, path: tuple[int, ...]) -> Optional[str]:
+    stack = [t]
+    while stack:
+        s = stack.pop()
         if not isinstance(s.label, int) or s.label < 1:
-            return f"{_path_str(path)}: label {s.label!r} is not a positive integer"
-        if not s.children:
-            if s.label != 1:
-                return f"{_path_str(path)}: leaf label {s.label} != 1"
-            return None
-        total = children_sum(s)
-        if not path and s.label != total:
-            return f"{_path_str(path)}: root label {s.label} != children sum {total}"
-        if path and s.label > total:
-            return f"{_path_str(path)}: label {s.label} exceeds children sum {total}"
-        for i, c in enumerate(s.children):
-            msg = walk(c, path + (i,))
-            if msg is not None:
-                return msg
-        return None
-
-    return walk(t, ()) or "ok"
+            msg = f"label {s.label!r} is not a positive integer"
+        elif not s.children:
+            if s.label == 1:
+                continue
+            msg = f"leaf label {s.label} != 1"
+        elif s is t and s.label != children_sum(s):
+            msg = f"root label {s.label} != children sum {children_sum(s)}"
+        elif s is not t and s.label > children_sum(s):
+            msg = f"label {s.label} exceeds children sum {children_sum(s)}"
+        else:
+            stack.extend(reversed(s.children))
+            continue
+        # Only now build the path.  Subtrees may be shared, but an earlier
+        # preorder occurrence of s would have failed first.
+        paths = [(t, "root")]
+        while paths[-1][0] is not s:
+            u, path = paths.pop()
+            paths.extend((u.children[i], f"{path}.{i}") for i in range(len(u.children) - 1, -1, -1))
+        return f"{paths[-1][1]}: {msg}"
+    return "ok"
 
 
 def is_valid_tree(t: LabeledTree) -> bool:
@@ -148,13 +164,16 @@ def _require_valid(t: LabeledTree) -> None:
 
 
 def _compositions(n: int) -> Iterator[tuple[int, ...]]:
-    """Ordered compositions of n >= 1 into positive parts, lexicographically."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            yield (first,) + rest
+    """Ordered compositions of n >= 0 into positive parts, lexicographically:
+    the successor of (..., a, b) is (..., a + 1) followed by b - 1 ones."""
+    comp = [1] * n
+    while True:
+        yield tuple(comp)
+        if len(comp) < 2:
+            return
+        last = comp.pop()
+        comp[-1] += 1
+        comp.extend([1] * (last - 1))
 
 
 @lru_cache(maxsize=None)
@@ -231,18 +250,12 @@ def tree_stats(t: LabeledTree) -> TreeStats:
     """
     _require_valid(t)
     nodes = leaves = scm = 0
-
-    def walk(s: LabeledTree) -> None:
-        nonlocal nodes, leaves, scm
+    for s in iter_subtrees(t):
         nodes += 1
         if not s.children:
             leaves += 1
-        if len(s.children) == 1 and has_max_label(s.children[0]):
+        elif len(s.children) == 1 and has_max_label(s.children[0]):
             scm += 1
-        for c in s.children:
-            walk(c)
-
-    walk(t)
     return TreeStats(
         nodes=nodes,
         leaves=leaves,
@@ -320,49 +333,51 @@ def has_no_only_children(t: LabeledTree) -> bool:
 
 
 def format_tree(t: LabeledTree) -> str:
-    if not t.children:
-        return f"({t.label})"
-    return f"({t.label} " + " ".join(format_tree(c) for c in t.children) + ")"
+    parts = []
+    stack: list = [t]  # subtrees still to print, and the ")" closing each parent
+    while stack:
+        s = stack.pop()
+        if type(s) is str:
+            parts.append(s)
+        elif s.children:
+            parts.append(f" ({s.label}")
+            stack.append(")")
+            stack.extend(reversed(s.children))
+        else:
+            parts.append(f" ({s.label})")
+    return "".join(parts)[1:]  # every node is written after a space but the root
 
 
 def parse_tree(text: str) -> LabeledTree:
     """Parse the parenthesized tree format; raises ValueError with a position."""
-    pos = 0
-    n = len(text)
-
-    def skip_ws() -> None:
-        nonlocal pos
+    n, pos, root = len(text), 0, None
+    open_nodes: list[tuple[int, list[LabeledTree]]] = []  # (label, children so far)
+    while True:
         while pos < n and text[pos].isspace():
             pos += 1
-
-    def fail(expected: str):
-        raise ValueError(f"parse error at position {pos}: expected {expected}")
-
-    def parse_node() -> LabeledTree:
-        nonlocal pos
-        skip_ws()
-        if pos >= n or text[pos] != "(":
-            fail("'('")
-        pos += 1
-        skip_ws()
-        start = pos
-        while pos < n and text[pos].isdigit():
+        if root is not None:
+            if pos == n:
+                return root
+            expected = "end of input"
+        elif pos < n and text[pos] == "(":
             pos += 1
-        if pos == start:
-            fail("integer label")
-        label = int(text[start:pos])
-        kids = []
-        skip_ws()
-        while pos < n and text[pos] == "(":
-            kids.append(parse_node())
-            skip_ws()
-        if pos >= n or text[pos] != ")":
-            fail("')'")
-        pos += 1
-        return LabeledTree(label, tuple(kids))
-
-    out = parse_node()
-    skip_ws()
-    if pos != n:
-        fail("end of input")
-    return out
+            while pos < n and text[pos].isspace():
+                pos += 1
+            start = pos
+            while pos < n and text[pos].isdigit():
+                pos += 1
+            if pos > start:
+                open_nodes.append((int(text[start:pos]), []))
+                continue
+            expected = "integer label"
+        elif open_nodes and pos < n and text[pos] == ")":
+            pos += 1
+            label, kids = open_nodes.pop()
+            if open_nodes:
+                open_nodes[-1][1].append(LabeledTree(label, tuple(kids)))
+            else:
+                root = LabeledTree(label, tuple(kids))
+            continue
+        else:
+            expected = "')'" if open_nodes else "'('"
+        raise ValueError(f"parse error at position {pos}: expected {expected}")

@@ -303,17 +303,73 @@ def test_stream_error_names_its_line(argv, good, bad, capsys, monkeypatch):
     assert err.startswith("mapscope: line 3: ") and err.count("\n") == 1
 
 
+def _rows(argv, capsys, monkeypatch, stdin):
+    code, out, err = run(argv + ["--format", "json"], capsys, monkeypatch, stdin=stdin)
+    assert (code, err) == (0, "")
+    return [json.loads(line) for line in out.splitlines()]
+
+
+def test_deep_and_wide_trees_stream_through(capsys, monkeypatch):
+    'A path 3,000 levels deep and a star with 3,000 leaves pass every tree leg, exit 0'
+    path = "(1 " * 2999 + "(1)" + ")" * 2999
+    star = "(3000" + " (1)" * 3000 + ")"
+    stdin = path.replace(" ", "") + "\n" + star + "\n"
+    code, out, err = run(["biject", "--from", "tree", "--to", "tree"], capsys, monkeypatch, stdin)
+    assert (code, err, out.splitlines()) == (0, "", [path, star])
+    rows = _rows(["stats", "--object", "tree"], capsys, monkeypatch, stdin)
+    assert [row.pop("tree") for row in rows] == [path, star]
+    assert rows == [
+        {"nodes": 3000, "leaves": 1, "internal_nodes": 2999, "root_label": 1,
+         "single_child_max_nodes": 2999, "decomposable": False, "primitive": False},
+        {"nodes": 3001, "leaves": 3000, "internal_nodes": 1, "root_label": 3000,
+         "single_child_max_nodes": 0, "decomposable": True, "primitive": True},
+    ]
+    code, maps, err = run(["biject", "--from", "tree", "--to", "map"], capsys, monkeypatch, stdin)
+    assert (code, err) == (0, "")
+    rows = _rows(["stats", "--object", "map"], capsys, monkeypatch, maps)
+    assert [row.pop("map") for row in rows] == maps.splitlines()
+    assert rows == [
+        {"edges": 3000, "vertices": 2, "faces": 3000, "root_face_degree": 2,
+         "internal_2faces": 2999, "nonseparable": True, "multiple_edges": True},
+        {"edges": 3001, "vertices": 3001, "faces": 2, "root_face_degree": 3001,
+         "internal_2faces": 0, "nonseparable": True, "multiple_edges": False},
+    ]
+    # tree -> perm is quadratic on a path, so that leg runs at 1,500 levels.
+    stdin = "(1" * 1500 + ")" * 1500 + "\n" + star + "\n"
+    code, out, err = run(["biject", "--from", "tree", "--to", "perm"], capsys, monkeypatch, stdin)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        " ".join(map(str, range(1499, 0, -1))), " ".join(map(str, range(1, 3001)))
+    ]
+
+
+def test_biject_tree_to_tree_rejects_invalid_trees(capsys, monkeypatch):
+    'tree -> tree validates each line like the other legs'
+    for bad, why in [("(5)", "root: leaf label 5 != 1"),
+                     ("(2 (3 (1)) (1))", "root: root label 2 != children sum 4")]:
+        code, out, err = run(
+            ["biject", "--from", "tree", "--to", "tree"], capsys, monkeypatch, stdin=f"(1)\n{bad}\n"
+        )
+        assert (code, out, err) == (2, "(1)\n", f"mapscope: line 2: invalid tree: {why}\n")
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, small, big, size",
     [
-        ["stats", "--object", "tree"],
-        ["biject", "--from", "tree", "--to", "perm"],
-        ["biject", "--from", "tree", "--to", "map"],
+        (["stats", "--object", "tree"], "(2 (1) (1))", "(3 (1) (1) (1))", 4),
+        (["biject", "--from", "tree", "--to", "map"], "(2 (1) (1))", "(3 (1) (1) (1))", 4),
+        (["stats", "--object", "perm"], "2 1 3", "1 2 3 4", 4),
+        (["biject", "--from", "perm", "--to", "tree"], "2 1 3", "1 2 3 4", 4),
+        (["stats", "--object", "map"],
+         '{"n_darts": 6, "alpha": [1, 0, 3, 2, 5, 4], "sigma": [5, 2, 1, 4, 3, 0], "root": 4}',
+         '{"n_darts": 8, "alpha": [1, 0, 3, 2, 5, 4, 7, 6], "sigma": [2, 5, 6, 1, 0, 7, 4, 3],'
+         ' "root": 3}', 4),
     ],
 )
-def test_deep_tree_exits_with_diagnostic(argv, capsys, monkeypatch):
-    'A path 3,000 levels deep exits 2 with one line, not a traceback'
-    code, out, err = run(argv, capsys, monkeypatch, stdin="(1" * 3000 + ")" * 3000 + "\n")
+def test_size_cap_applies_to_each_stdin_object(argv, small, big, size, capsys, monkeypatch):
+    'MAPSCOPE_MAX_SIZE holds each line, in enumerate --size units, before any conversion'
+    monkeypatch.setenv("MAPSCOPE_MAX_SIZE", "3")
+    code, out, err = run(argv, capsys, monkeypatch, stdin=f"{small}\n{big}\n{small}\n")
     assert code == 2
-    assert out == ""
-    assert err.startswith("mapscope: ") and err.count("\n") == 1
+    assert len(out.splitlines()) == 1
+    assert err == f"mapscope: line 2: size {size} exceeds MAPSCOPE_MAX_SIZE=3\n"

@@ -10,7 +10,6 @@ from mapscope.maps import (
     has_multiple_edges,
     internal_2face_count,
     is_nonseparable,
-    is_valid_map,
     parse_map,
     tree_to_map,
     validate_map,
@@ -103,17 +102,20 @@ def test_multiple_edges():
 
 
 def test_validate_rejects_bad_maps():
-    assert validate_map(CombinatorialMap(3, (1, 0, 2), (0, 1, 2), 0)) != "ok"
-    # alpha with a fixed point
-    assert validate_map(CombinatorialMap(2, (0, 1), (0, 1), 0)) != "ok"
-    # two disjoint digons: involution fine, not transitive
-    m = CombinatorialMap(
-        8,
-        (1, 0, 3, 2, 5, 4, 7, 6),
-        (2, 3, 0, 1, 6, 7, 4, 5),
-        0,
-    )
-    assert not is_valid_map(m)
+    'An invalid map cannot be made: the constructor raises with the first violation'
+    bad = [
+        ((3, (1, 0, 2), (0, 1, 2), 0), "n_darts 3 is not a positive even count"),
+        # alpha with a fixed point
+        ((2, (0, 1), (0, 1), 0), r"alpha not fixed-point-free \(dart 0\)"),
+        # two disjoint digons: involution fine, not transitive
+        (
+            (8, (1, 0, 3, 2, 5, 4, 7, 6), (2, 3, 0, 1, 6, 7, 4, 5), 0),
+            r"map not connected \(alpha,sigma not transitive on darts\)",
+        ),
+    ]
+    for fields, message in bad:
+        with pytest.raises(ValueError, match=f"^invalid map: {message}$"):
+            CombinatorialMap(*fields)
 
 
 def test_path_map_is_separable():

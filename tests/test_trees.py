@@ -73,6 +73,16 @@ def test_validate_rejects_bad_labels():
     assert not is_valid_tree(zero)
 
 
+def test_validate_names_the_first_bad_node():
+    'The first violation in preorder, addressed by its path; shared and deep subtrees too'
+    assert validate_tree(parse_tree("(1 (1 (1) (2)))")) == "root.0.1: leaf label 2 != 1"
+    assert validate_tree(parse_tree("(3 (1) (2 (1)))")) == "root.1: label 2 exceeds children sum 1"
+    bad = LabeledTree(2, ())
+    assert validate_tree(LabeledTree(5, (leaf(), bad, bad))) == "root.1: leaf label 2 != 1"
+    deep = parse_tree("(1" * 2999 + "(2)" + ")" * 2999)
+    assert validate_tree(deep) == "root" + ".0" * 2999 + ": leaf label 2 != 1"
+
+
 def test_parse_format_roundtrip():
     for n in range(1, 6):
         for t in enumerate_trees(n):
