@@ -343,6 +343,22 @@ def test_deep_and_wide_trees_stream_through(capsys, monkeypatch):
     ]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stats", "--object", "tree"],
+        ["biject", "--from", "tree", "--to", "perm"],
+        ["biject", "--from", "tree", "--to", "map"],
+    ],
+)
+def test_deep_tree_exits_with_diagnostic(argv, capsys, monkeypatch):
+    'A 3,000-level path with a bad deepest leaf exits 2 with one line naming that leaf'
+    stdin = "(1" * 2999 + "(2" + ")" * 3000 + "\n"
+    code, out, err = run(argv, capsys, monkeypatch, stdin=stdin)
+    assert (code, out) == (2, "")
+    assert err == "mapscope: line 1: invalid tree: root" + ".0" * 2999 + ": leaf label 2 != 1\n"
+
+
 def test_biject_tree_to_tree_rejects_invalid_trees(capsys, monkeypatch):
     'tree -> tree validates each line like the other legs'
     for bad, why in [("(5)", "root: leaf label 5 != 1"),
