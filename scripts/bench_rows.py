@@ -33,6 +33,9 @@ CLI_ROWS = [
     ["series", "--name", "p", "--terms", "400"],
     ["enumerate", "--object", "trees", "--size", "9", "--filter", "labels-max=3",
      "--filter", "no-only-children", "--count-only"],
+    ["enumerate", "--object", "trees", "--size", "10", "--count-only"],
+    ["enumerate", "--object", "trees", "--size", "10", "--filter", "k-face-free=3", "--count-only"],
+    ["enumerate", "--object", "maps", "--size", "10", "--filter", "primitive", "--count-only"],
 ]
 REPEAT = 5
 

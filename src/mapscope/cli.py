@@ -36,7 +36,6 @@ from .maps import (
     faces,
     format_map,
     has_multiple_edges,
-    internal_2face_count,
     is_nonseparable,
     parse_map,
     tree_to_map,
@@ -55,13 +54,11 @@ from .perms import (
     tree_to_perm,
 )
 from .trees import (
-    _iter_trees,
+    count_trees,
     format_tree,
-    is_k_face_free_tree,
-    is_primitive_tree,
     iter_subtrees,
-    mef_necessary,
     parse_tree,
+    select_trees,
     tree_stats,
     validate_tree,
 )
@@ -109,50 +106,6 @@ def _reader(kind: str):
         return obj
 
     return parse if cap is None else read
-
-
-# ---------------------------------------------------------------------------
-# Filters (tree-side; maps and permutations inherit them through the
-# bijections, which the verify suites certify)
-# ---------------------------------------------------------------------------
-
-
-def _filter_value(spec: str) -> int:
-    try:
-        return int(spec.partition("=")[2])
-    except ValueError:
-        raise ValueError(f"bad filter value: {spec!r}") from None
-
-
-def _parse_filters(specs):
-    """(label cap, no-only-children switch, predicates) for the --filter specs.
-
-    `labels-max` and `no-only-children` prune the enumeration; the smallest
-    of several caps wins.  The other filters test each generated tree.
-    """
-    cap, forbid, predicates = None, False, []
-    for spec in specs:
-        if spec == "primitive":
-            predicates.append(is_primitive_tree)
-        elif spec == "two-face-free":
-            predicates.append(lambda t: is_k_face_free_tree(t, 2))
-        elif spec == "mef-necessary":
-            predicates.append(mef_necessary)
-        elif spec == "no-only-children":
-            forbid = True
-        elif spec.startswith("k-face-free="):
-            k = _filter_value(spec)
-            if k not in (2, 3, 4):
-                raise ValueError("k-face-free filter supports k in {2, 3, 4}")
-            predicates.append(lambda t, k=k: is_k_face_free_tree(t, k))
-        elif spec.startswith("labels-max="):
-            value = _filter_value(spec)
-            if value < 1:
-                raise ValueError("labels-max filter requires a cap >= 1")
-            cap = value if cap is None else min(cap, value)
-        else:
-            raise ValueError(f"unknown filter: {spec!r}")
-    return cap, forbid, predicates
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +166,9 @@ def _cmd_enumerate(args) -> int:
             raise ValueError("--size must be >= 1")
         tree_nodes = size
     _check_size_cap(size, _env_max_size())
-    cap, forbid, predicates = _parse_filters(args.filter or [])
-    selected = (t for t in _iter_trees(tree_nodes, cap, forbid) if all(p(t) for p in predicates))
+    filters = args.filter or []  # on trees; maps and perms inherit them by bijection
     if args.count_only:
-        count = sum(1 for _ in selected)
+        count = count_trees(tree_nodes, filters)
         if args.format == "json":
             print(json.dumps({"count": count}))
         elif args.format == "csv":
@@ -225,6 +177,7 @@ def _cmd_enumerate(args) -> int:
         else:
             print(count)
         return 0
+    selected = select_trees(tree_nodes, filters)
     if args.object == "trees":
         texts = (format_tree(t) for t in selected)
         _emit_objects(texts, "tree", args.format, sys.stdout)
@@ -332,7 +285,7 @@ def _map_stat_row(line: str, parse=parse_map) -> dict:
         "vertices": len(vertex_orbits(m)),
         "faces": len(rep.faces),
         "root_face_degree": rep.faces[rep.root_face_index][1],
-        "internal_2faces": internal_2face_count(m),
+        "internal_2faces": rep.internal_2faces,
         "nonseparable": is_nonseparable(m),
         "multiple_edges": has_multiple_edges(m),
     }

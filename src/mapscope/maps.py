@@ -62,6 +62,11 @@ class FaceReport:
     root_face_index: int
     degree_histogram: tuple[int, ...]  # sorted degrees
 
+    @property
+    def internal_2faces(self) -> int:
+        """Number of non-root faces of degree 2."""
+        return self.degree_histogram.count(2) - (self.faces[self.root_face_index][1] == 2)
+
 
 def _orbits(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
     seen = [False] * len(perm)
@@ -137,12 +142,7 @@ def face_degrees(m: CombinatorialMap) -> tuple[int, ...]:
 
 def internal_2face_count(m: CombinatorialMap) -> int:
     """Number of non-root faces of degree 2."""
-    rep = faces(m)
-    return sum(
-        1
-        for i, (_, deg) in enumerate(rep.faces)
-        if deg == 2 and i != rep.root_face_index
-    )
+    return faces(m).internal_2faces
 
 
 def _dart_vertex(m: CombinatorialMap) -> list[int]:

@@ -15,6 +15,7 @@ convention.)
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -32,6 +33,9 @@ __all__ = [
     "is_valid_tree",
     "enumerate_trees",
     "count_trees",
+    "count_trees_by_size",
+    "parse_filters",
+    "select_trees",
     "tree_stats",
     "is_primitive_tree",
     "is_k_face_free_tree",
@@ -44,7 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledTree:
     """Immutable rooted plane tree with a positive integer label per node."""
 
@@ -53,6 +57,20 @@ class LabeledTree:
 
     def __repr__(self) -> str:
         return f"LabeledTree({format_tree(self)!r})"
+
+    def __eq__(self, other) -> bool:  # a walk with a stack: any depth works
+        if not isinstance(other, LabeledTree):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a.label != b.label or len(a.children) != len(b.children):
+                return False
+            stack.extend(zip(a.children, b.children))
+        return True
+
+    def __hash__(self) -> int:
+        return hash(format_tree(self))  # equal trees print alike
 
 
 @dataclass(frozen=True)
@@ -228,13 +246,131 @@ def enumerate_trees(
     return list(_iter_trees(nodes, label_cap, forbid_only_children))
 
 
-def count_trees(nodes: int) -> int:
-    """Number of beta(1,0)-trees with exactly `nodes` nodes.
+# ---------------------------------------------------------------------------
+# Filters.  Each is a local rule: `node(m, d, s)` holds at every node (root
+# included), where m counts its children, d sums their deficits and s their
+# labels; and the root label is not `bad_root` (0: none).  `node` holds when
+# m = 0 or m >= m_cap, and reads d as min(d, d_cap) and s as min(s, 4), so
+# the counting DP may clamp them.  `labels-max` caps the non-root labels.
+# ---------------------------------------------------------------------------
 
-    >>> [count_trees(n) for n in range(1, 7)]
-    [1, 1, 2, 6, 22, 91]
+
+_Rule = namedtuple("_Rule", "node bad_root m_cap d_cap")
+
+# A single child has maximum label iff its deficit is 0.
+_PRIMITIVE = _Rule(lambda m, d, s: m != 1 or d > 0, 0, 2, 1)
+_MEF_NECESSARY = _Rule(lambda m, d, s: m != 1 or (d > 0 and s != 1), 1, 2, 1)
+_NO_ONLY_CHILDREN = _Rule(lambda m, d, s: m != 1, 0, 2, 0)
+# No face of degree k: a node makes an internal face of degree 1+m+d, the root
+# face has degree root label + 1 (cross-validated against direct face
+# computation on the constructed maps in `mapscope.verify`).
+_K_FACE_FREE = {
+    k: _Rule(lambda m, d, s, k=k: not (1 <= m <= k - 1 and d == k - m - 1), k - 1, k, k - 1)
+    for k in (2, 3, 4)
+}
+_NAMED_RULES = {"primitive": _PRIMITIVE, "two-face-free": _K_FACE_FREE[2],
+                "mef-necessary": _MEF_NECESSARY, "no-only-children": _NO_ONLY_CHILDREN}
+
+
+def parse_filters(specs) -> tuple[Optional[int], tuple[_Rule, ...]]:
+    """(label cap, rules) for filter specs: primitive | two-face-free |
+    k-face-free=K | mef-necessary | no-only-children | labels-max=L.  A tree
+    passes all of them; the smallest of several caps wins."""
+    cap, rules = None, []
+    for spec in specs:
+        name, eq, text = spec.partition("=")
+        if spec in _NAMED_RULES:
+            rules.append(_NAMED_RULES[spec])
+            continue
+        if not eq or name not in ("k-face-free", "labels-max"):
+            raise ValueError(f"unknown filter: {spec!r}")
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError(f"bad filter value: {spec!r}") from None
+        if name == "labels-max":
+            if value < 1:
+                raise ValueError("labels-max filter requires a cap >= 1")
+            cap = value if cap is None else min(cap, value)
+        elif value in _K_FACE_FREE:
+            rules.append(_K_FACE_FREE[value])
+        else:
+            raise ValueError("k-face-free filter supports k in {2, 3, 4}")
+    return cap, tuple(rules)
+
+
+def _passes(t: LabeledTree, rules) -> bool:
+    """Whether t passes every rule (t is not validated)."""
+    if any(t.label == r.bad_root for r in rules):
+        return False
+    m_cap = max((r.m_cap for r in rules), default=0)
+    for u in iter_subtrees(t):
+        if 0 < len(u.children) < m_cap:
+            m, s = len(u.children), children_sum(u)
+            if not all(r.node(m, sum(map(max_label_value, u.children)) - s, s) for r in rules):
+                return False
+    return True
+
+
+def select_trees(nodes: int, filters=()) -> Iterator[LabeledTree]:
+    """The trees of `enumerate_trees(nodes)` that pass every filter spec, in
+    order, one at a time.  The specs are checked now, before the first tree."""
+    if nodes < 1:
+        raise ValueError("empty tree not modeled")
+    cap, rules = parse_filters(filters)
+    forbid = _NO_ONLY_CHILDREN in rules  # pruned; the other rules are walked
+    rules = tuple(r for r in rules if r is not _NO_ONLY_CHILDREN)
+    return (t for t in _iter_trees(nodes, cap, forbid) if not rules or _passes(t, rules))
+
+
+def count_trees(nodes: int, filters=()) -> int:
+    """Number of beta(1,0)-trees with exactly `nodes` nodes that pass every
+    filter spec (see `parse_filters`), counted without building them.
+
+    >>> [count_trees(n) for n in range(1, 7)], count_trees(5, ["two-face-free"])
+    ([1, 1, 2, 6, 22, 91], 6)
     """
-    return len(enumerate_trees(nodes))
+    return count_trees_by_size(nodes, filters)[-1]
+
+
+def count_trees_by_size(nodes: int, filters=()) -> list[int]:
+    """[count_trees(n, filters) for n in 1..nodes], from one run of the DP."""
+    if nodes < 1:
+        raise ValueError("empty tree not modeled")
+    cap, rules = parse_filters(filters)
+    m_cap = max((r.m_cap for r in rules), default=0)
+    d_cap = max((r.d_cap for r in rules), default=0)
+    # A label sum past cap + d_cap gives the same labels and clamped deficits.
+    cap, s_cap = (nodes, nodes) if cap is None else (cap, max(cap + d_cap, 4))
+    # subtrees[k]: clamped deficit -> counts by label of the k-node trees below
+    # a parent; forests[j]: clamped (m, d) -> counts by clamped label sum of
+    # the j-node child sequences.  A forest is a forest and one more subtree;
+    # a subtree, or a whole tree, is a node over a forest.
+    subtrees, forests = [{}, {0: [0, 1]}], [{(0, 0): [1]}]
+    counts = [int(all(r.bad_root != 1 for r in rules))]
+    for n in range(1, nodes):
+        forest: dict = {}
+        for k in range(1, n + 1):
+            for (m, d), before in forests[n - k].items():
+                m1 = min(m + 1, m_cap)
+                for e, last in subtrees[k].items():
+                    key = (m1, 0 if m1 == m_cap else min(d + e, d_cap))
+                    out = forest.setdefault(key, [0] * (min(n, s_cap) + 1))
+                    for i, a in enumerate(before):
+                        if a:
+                            for j, b in enumerate(last, i):
+                                out[min(j, s_cap)] += a * b
+        forests.append(forest)
+        below, root_count = {}, 0
+        for (m, d), by_sum in forest.items():
+            for s, a in enumerate(by_sum):
+                if a and all(r.node(m, d, s) for r in rules):
+                    root_count += a if all(r.bad_root != s for r in rules) else 0
+                    for label in range(1, min(s, cap) + 1):
+                        below.setdefault(min(s - label, d_cap), [0] * (min(n, cap) + 1))[label] += a
+        subtrees.append(below)
+        counts.append(root_count)
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -269,37 +405,16 @@ def tree_stats(t: LabeledTree) -> TreeStats:
 def is_primitive_tree(t: LabeledTree) -> bool:
     """True iff no node has a single child carrying maximum label."""
     _require_valid(t)
-    return all(
-        not (len(s.children) == 1 and has_max_label(s.children[0]))
-        for s in iter_subtrees(t)
-    )
-
-
-def _deficit(t: LabeledTree) -> int:
-    """How far the node's label sits below its maximum (0 for leaves)."""
-    return max_label_value(t) - t.label
+    return _passes(t, (_PRIMITIVE,))
 
 
 def is_k_face_free_tree(t: LabeledTree, k: int) -> bool:
-    """True iff the corresponding map has no face of degree k (root face included).
-
-    Encoded rule: (a) no node -- root included -- with m children,
-    1 <= m <= k-1, whose children's deficits sum to k-m-1; (b) root label
-    != k-1.  A node with m children and total child deficit d creates an
-    internal face of degree 1+m+d, and the root face has degree root label
-    + 1, which is what the two rules test.  Cross-validated against direct
-    face computation on the constructed maps in `mapscope.verify`.
-    """
-    if k not in (2, 3, 4):
+    """True iff the corresponding map has no face of degree k (root face
+    included), for k in {2, 3, 4}; the rule is `_K_FACE_FREE[k]`."""
+    if k not in _K_FACE_FREE:
         raise ValueError(f"k must be 2, 3 or 4, got {k!r}")
     _require_valid(t)
-    if t.label == k - 1:
-        return False
-    for s in iter_subtrees(t):
-        m = len(s.children)
-        if 1 <= m <= k - 1 and sum(_deficit(c) for c in s.children) == k - m - 1:
-            return False
-    return True
+    return _passes(t, (_K_FACE_FREE[k],))
 
 
 def mef_necessary(t: LabeledTree) -> bool:
@@ -311,20 +426,13 @@ def mef_necessary(t: LabeledTree) -> bool:
     (its tree fails the root-label rule yet the map has no multiple edge).
     """
     _require_valid(t)
-    if t.label == 1:
-        return False
-    for s in iter_subtrees(t):
-        if len(s.children) == 1:
-            c = s.children[0]
-            if has_max_label(c) or c.label == 1:
-                return False
-    return True
+    return _passes(t, (_MEF_NECESSARY,))
 
 
 def has_no_only_children(t: LabeledTree) -> bool:
     """True iff no node of t (root included) has exactly one child."""
     _require_valid(t)
-    return all(len(s.children) != 1 for s in iter_subtrees(t))
+    return _passes(t, (_NO_ONLY_CHILDREN,))
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,32 @@ def test_enumerate_filters(capsys):
     assert (code, out) == (0, "7\n")
 
 
+@pytest.mark.parametrize(
+    "filters, count", [([], "1"), (["two-face-free"], "0"), (["mef-necessary"], "0")]
+)
+def test_enumerate_count_empty_perm(filters, count, capsys):
+    'The empty permutation is the one-node tree, which fails the root-label rules'
+    argv = ["enumerate", "--object", "perms", "--size", "0", "--count-only"]
+    code, out, err = run(argv + [a for f in filters for a in ("--filter", f)], capsys)
+    assert (code, out, err) == (0, count + "\n", "")
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("nope", "unknown filter: 'nope'"),
+        ("labels-max=0", "labels-max filter requires a cap >= 1"),
+        ("labels-max=x", "bad filter value: 'labels-max=x'"),
+        ("k-face-free=5", "k-face-free filter supports k in {2, 3, 4}"),
+    ],
+)
+@pytest.mark.parametrize("count_only", [[], ["--count-only"]])
+def test_enumerate_bad_filter(spec, message, count_only, capsys):
+    'A bad filter exits 2 with a one-line diagnostic, counted or listed'
+    argv = ["enumerate", "--object", "perms", "--size", "0", "--filter", spec, *count_only]
+    assert run(argv, capsys) == (2, "", f"mapscope: {message}\n")
+
+
 def _listing(capsys, size, *filters):
     argv = ["enumerate", "--object", "trees", "--size", str(size)]
     for f in filters:

@@ -77,3 +77,14 @@ def test_perm_text_roundtrip(pi):
     'parse_perm inverts format_perm, on any permutation'
     pi = tuple(pi)
     assert parse_perm(format_perm(pi)) == pi
+
+
+@settings
+@hypothesis.given(trees(), trees(), st.booleans())
+def test_tree_equality_is_text_equality(a, b, same):
+    'a == b iff the two trees print alike, and equal trees hash alike'
+    if same:
+        b = parse_tree(format_tree(a))  # an equal tree built apart
+    assert (a == b) == (format_tree(a) == format_tree(b))
+    if a == b:
+        assert hash(a) == hash(b)

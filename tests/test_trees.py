@@ -1,7 +1,11 @@
+from itertools import combinations
+
+from mapscope.series import B1, B2, B3, primitive_maps_with_edges, series
 from mapscope.trees import (
     LabeledTree,
     children_sum,
     count_trees,
+    count_trees_by_size,
     enumerate_trees,
     format_tree,
     has_max_label,
@@ -14,6 +18,7 @@ from mapscope.trees import (
     mef_necessary,
     node,
     parse_tree,
+    select_trees,
     tree_stats,
     validate_tree,
 )
@@ -199,3 +204,75 @@ def test_has_max_label_convention():
     assert has_max_label(parse_tree("(2 (1) (1))"))
     inner = parse_tree("(3 (1) (2 (1) (1)))").children[1]
     assert has_max_label(inner)
+
+
+# The comparison side of the counting DP: the public predicates, and a label
+# cap read straight off the non-root nodes.
+FILTER_PREDICATES = {
+    "primitive": is_primitive_tree,
+    "two-face-free": lambda t: is_k_face_free_tree(t, 2),
+    "k-face-free=2": lambda t: is_k_face_free_tree(t, 2),
+    "k-face-free=3": lambda t: is_k_face_free_tree(t, 3),
+    "k-face-free=4": lambda t: is_k_face_free_tree(t, 4),
+    "mef-necessary": mef_necessary,
+    "no-only-children": has_no_only_children,
+    **{
+        f"labels-max={cap}": lambda t, cap=cap: all(
+            s.label <= cap for c in t.children for s in iter_subtrees(c)
+        )
+        for cap in range(1, 5)
+    },
+}
+CAPS = [f"labels-max={cap}" for cap in range(1, 5)]
+FILTER_SETS = (
+    [()]
+    + [(spec,) for spec in FILTER_PREDICATES]
+    + list(combinations(FILTER_PREDICATES, 2))
+    + [("labels-max=3", "labels-max=1", "labels-max=2"), ("labels-max=2", "labels-max=2")]
+    + [(cap, "no-only-children") for cap in CAPS]
+)
+
+
+def test_count_dp_equals_filtered_enumeration():
+    'Every filter, every pair, repeated caps: the DP counts what filtering the listing keeps'
+    for n in range(1, 9):
+        full = enumerate_trees(n)
+        passes = {spec: [pred(t) for t in full] for spec, pred in FILTER_PREDICATES.items()}
+        for specs in FILTER_SETS:
+            kept = [t for i, t in enumerate(full) if all(passes[s][i] for s in specs)]
+            assert count_trees(n, specs) == len(kept), (n, specs)
+            assert list(select_trees(n, specs)) == kept, (n, specs)
+
+
+def test_count_dp_primitive_matches_binomial_transform():
+    'Primitive trees with n nodes are the primitive maps with n edges, n <= 30'
+    counts = count_trees_by_size(30, ["primitive"])
+    assert counts == [primitive_maps_with_edges(n) for n in range(1, 31)]
+    assert count_trees(30, ["primitive"]) == counts[-1]
+
+
+def test_count_dp_reproduces_bound_series():
+    'Label caps 1, 2, 3 with no only children give B1, B2, B3 to order 100'
+    for name, cap in ((B1, 1), (B2, 2), (B3, 3)):
+        ser = series(name, 100)
+        counts = count_trees_by_size(100, [f"labels-max={cap}", "no-only-children"])
+        assert counts == [ser[m] for m in range(1, 101)], name
+
+
+def test_count_dp_rejects_bad_input():
+    with pytest.raises(ValueError):
+        count_trees(0)
+    for spec in ("nope", "labels-max=0", "labels-max=x", "k-face-free=5"):
+        with pytest.raises(ValueError):
+            count_trees(3, [spec])
+
+
+def test_deep_trees_compare_and_hash():
+    'Equality and hashing walk the tree, so 3,000-level paths need no recursion'
+    deep = "(1" * 3000 + ")" * 3000
+    a, b = parse_tree(deep), parse_tree(deep)
+    assert a == b and a is not b
+    assert hash(a) == hash(b)
+    other = parse_tree("(1" * 2999 + "(2)" + ")" * 2999)
+    assert a != other
+    assert len({a, b, other}) == 2
