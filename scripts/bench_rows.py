@@ -10,9 +10,9 @@ alike.  Library rows run in-process, with every
 `lru_cache` of `mapscope.series`, `mapscope.trees` and `mapscope.verify`
 cleared before each run, so each run pays what a cold process pays.  The
 per-object rows (map stats lines, tree -> perm -> tree and tree text round
-trips) time only the calls: their inputs are built once, before any row.  The
-CLI rows run `python -m mapscope.cli` as a subprocess, interpreter start-up
-included.
+trips, the deep member's rows) time only the calls: their inputs are built
+once, before any row.  The CLI rows run `python -m mapscope.cli` as a
+subprocess, interpreter start-up included.
 Prints one JSON document: a machine header, then per label and row the
 median and every run, in seconds.  Standard library only.
 """
@@ -52,6 +52,9 @@ def _library_rows():
     map_lines = [maps.format_map(maps.tree_to_map(t)) for t in trees.enumerate_trees(8)]
     nine = trees.enumerate_trees(9)
     nine_texts = [trees.format_tree(t) for t in nine]
+    # The decreasing member of 1,000 letters and its tree, the path on 1,001 nodes.
+    deep = tuple(range(1000, 0, -1))
+    path = trees.parse_tree("(1" * 1001 + ")" * 1001)
 
     return {
         "check_asymptotics()": verify.check_asymptotics,
@@ -73,6 +76,9 @@ def _library_rows():
         "tree_to_perm + perm_to_tree, all 9-node trees": lambda: [
             perms.perm_to_tree(perms.tree_to_perm(t)) for t in nine
         ],
+        "in_class, decreasing 1,000-letter member": lambda: perms.in_class(deep),
+        "perm_to_tree, decreasing 1,000-letter member": lambda: perms.perm_to_tree(deep),
+        "tree_to_perm, 1,001-node path": lambda: perms.tree_to_perm(path),
         "parse_tree + format_tree, all 9-node trees": lambda: [
             trees.format_tree(trees.parse_tree(text)) for text in nine_texts
         ],

@@ -46,7 +46,6 @@ from .perms import (
     components,
     format_perm,
     in_class,
-    is_indecomposable,
     lr_maxima,
     occurrences,
     parse_perm,
@@ -295,13 +294,14 @@ def _perm_stat_row(line: str, parse=parse_perm) -> dict:
     pi = parse(line)
     member = in_class(pi)
     m_occurrences = occurrences(M, pi)
+    n_components = len(components(pi))
     return {
         "perm": format_perm(pi),
         "length": len(pi),
-        "components": len(components(pi)),
+        "components": n_components,
         "lr_maxima": len(lr_maxima(pi)),
         "m_occurrences": m_occurrences,
-        "indecomposable": is_indecomposable(pi),
+        "indecomposable": len(pi) > 0 and n_components == 1,
         "in_class": member,
         "primitive": member and m_occurrences == 0,
     }

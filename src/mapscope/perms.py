@@ -26,7 +26,9 @@ n+1 nodes corresponds to a permutation of length n (the single-node tree to
 the empty permutation).  Decomposable trees map to direct sums; an
 indecomposable tree with root label a maps to the insertion of a new largest
 letter before the a-th left-to-right maximum, rearranged as in
-`insert_largest`.
+`insert_largest`.  Membership (`in_class`) is the bijection's checked
+unfold, not the matcher: a permutation is a member exactly when
+`insert_largest` rebuilds each level, each level O(length) by offsets.
 """
 
 from __future__ import annotations
@@ -122,22 +124,24 @@ def lr_maxima(pi: Permutation) -> list[int]:
 def components(pi: Permutation) -> list[Permutation]:
     """Split into indecomposable components of the direct sum, flattened."""
     out = []
-    start = 0
-    best = 0
+    start = best = 0
     for i, v in enumerate(pi, start=1):
-        best = max(best, v)
+        if v > best:
+            best = v
         if best == i:
-            out.append(flatten(pi[start:i]))
+            out.append(_shift(pi[start:i], -start))  # it holds start+1..i
             start = i
     return out
 
 
+def _shift(word: Permutation, k: int) -> Permutation:
+    return tuple(v + k for v in word) if k else tuple(word)
+
+
 def direct_sum(*parts: Permutation) -> Permutation:
     out: list[int] = []
-    shift = 0
     for p in parts:
-        out.extend(v + shift for v in p)
-        shift += len(p)
+        out += _shift(p, len(out))
     return tuple(out)
 
 
@@ -307,18 +311,6 @@ def avoids(pi: Permutation, patterns) -> bool:
     return not any(next(_occurrence_blocks(p, pi), None) for p in patterns)
 
 
-def in_class(pi: Permutation) -> bool:
-    """Membership in Av(3142, 2-41-3)."""
-    return avoids(pi, (P3142, P2413_VINC))
-
-
-def _require_member(pi: Permutation) -> None:
-    if sorted(pi) != list(range(1, len(pi) + 1)):
-        raise ValueError(f"not a permutation of 1..{len(pi)}: {pi!r}")
-    if not in_class(pi):
-        raise ValueError(f"not (3142,2-41-3)-avoiding: {format_perm(pi)}")
-
-
 # ---------------------------------------------------------------------------
 # Structural generation of Av(3142, 2-41-3)
 # ---------------------------------------------------------------------------
@@ -343,29 +335,21 @@ def insert_largest(pi: Permutation, which_lr_max: int) -> Permutation:
         if which_lr_max != 1:
             raise ValueError("the empty permutation admits only insertion index 1")
         return (1,)
-    maxima = lr_maxima(pi)
-    if not 1 <= which_lr_max <= len(maxima):
-        raise ValueError(
-            f"which_lr_max {which_lr_max} out of range 1..{len(maxima)}"
-        )
-    q = maxima[which_lr_max - 1]  # 1-based position in pi
-    sigma = pi[: q - 1] + (n + 1,) + pi[q - 1 :]
-    comps = components(sigma)
-    last = comps[-1]
-    a_len = n + 1 - len(last)
-    a_part = sigma[:a_len]  # already the values 1..a_len
-    r = last.index(len(last))  # n+1 sits at this index within the last component
-    b_part = sigma[a_len : a_len + r]
-    c_part = sigma[a_len + r + 1 :]
-    bc = flatten(b_part + c_part)
-    b_flat, c_flat = bc[: len(b_part)], bc[len(b_part) :]
-    lift = len(b_part) + len(c_part)
-    return (
-        b_flat
-        + tuple(v + lift for v in flatten(a_part))
-        + (n + 1,)
-        + c_flat
-    )
+    # One scan up to the chosen LR-max, at 0-based position q.  A is pi[:a],
+    # the components of pi that end before q; the last component of the
+    # inserted word is B (n+1) C with B = pi[a:q] and C = pi[q:].
+    a = best = count = 0
+    for q, v in enumerate(pi):
+        if v > best:
+            best = v
+            count += 1
+            if count == which_lr_max:
+                break
+        if best == q + 1:
+            a = q + 1
+    else:
+        raise ValueError(f"which_lr_max {which_lr_max} out of range 1..{count}")
+    return _shift(pi[a:q], -a) + _shift(pi[:a], n - a) + (n + 1,) + _shift(pi[q:], -a)
 
 
 def generate_av(n: int) -> list[Permutation]:
@@ -424,49 +408,65 @@ def _ttp(t: LabeledTree) -> Permutation:
     return direct_sum(*done)
 
 
+def in_class(pi: Permutation) -> bool:
+    """Membership in Av(3142, 2-41-3), by the checked unfold of _require_member."""
+    try:
+        _require_member(pi)
+    except ValueError:
+        return False
+    return True
+
+
 def perm_to_tree(pi: Permutation) -> LabeledTree:
-    """Inverse of tree_to_perm; raises for non-members."""
-    _require_member(pi)
-    return _ptt(pi)
-
-
-def _ptt(pi: Permutation) -> LabeledTree:
-    """Unfold _ttp's H: the root's children come from the components of pi;
-    an indecomposable p != (1,) gives a node labeled with the insertion index
-    of p's largest letter, whose children come from the rest of p."""
-    if not pi:
-        return LabeledTree(1, ())
-    # (label, number of children) of each non-root node, in preorder.
-    nodes: list[tuple[int, int]] = []
-    todo = components(pi)[::-1]  # indecomposable parts still to unfold, leftmost last
-    while todo:
-        p = todo.pop()
-        if p == (1,):
-            nodes.append((1, 0))
-            continue
-        n = len(p)
-        r = p.index(n)  # 0-based position of the largest letter
-        # A~ is the longest suffix of p[:r] holding exactly the values
-        # n-a .. n-1; the rest of p[:r] is B~.
-        a = next(a for a in range(r, -1, -1) if sorted(p[r - a : r]) == list(range(n - a, n)))
-        # Undo the rearrangement, B~ A~ n C~ -> A B n C, and drop n.
-        reduced = flatten(p[r - a : r]) + tuple(v + a for v in flatten(p[: r - a] + p[r + 1 :]))
-        maxima = lr_maxima(reduced)
-        if r + 1 not in maxima:
-            raise ValueError(f"not in the image of the insertion step: {format_perm(p)}")
-        j = maxima.index(r + 1) + 1  # n was inserted before this LR-max
-        parts = components(reduced)
-        nodes.append((j, len(parts)))
-        todo.extend(reversed(parts))
+    """Inverse of tree_to_perm; the checked unfold raises ValueError for non-members."""
     # Fold in reverse preorder: a node's children are then the top entries,
     # leftmost child on top.
     built: list[LabeledTree] = []
-    for label, m in reversed(nodes):
+    for label, m in reversed(_require_member(pi)):
         kids = built[len(built) - m :]
         del built[len(built) - m :]
         built.append(LabeledTree(label, tuple(reversed(kids))))
     kids = tuple(reversed(built))
-    return LabeledTree(sum(c.label for c in kids), kids)
+    return LabeledTree(max(1, sum(c.label for c in kids)), kids)  # e maps to (1)
+
+
+def _require_member(pi: Permutation) -> list[tuple[int, int]]:
+    """(label, number of children) of each non-root node of pi's tree, in
+    preorder, unfolding _ttp's H: the root's children come from the
+    components of pi; an indecomposable p != (1,) gives a node labeled with
+    the insertion index j of p's largest letter, whose children come from
+    the word p unfolds to.  Raises ValueError unless pi is a permutation in
+    the class: the unfold stops at the first level insert_largest does not
+    rebuild."""
+    if sorted(pi) != list(range(1, len(pi) + 1)):
+        raise ValueError(f"not a permutation of 1..{len(pi)}: {pi!r}")
+    nodes: list[tuple[int, int]] = []
+    todo = components(pi)[::-1]  # indecomposable parts still to unfold, leftmost last
+    while todo:
+        p = todo.pop()
+        n = len(p)
+        if n == 1:
+            nodes.append((1, 0))
+            continue
+        r = p.index(n)  # 0-based position of the largest letter
+        # A~ is the longest suffix of p[:r] holding exactly n-a .. n-1, i.e.
+        # with minimum n-a; the rest of p[:r] is B~, and B~ C~ hold 1 .. n-1-a.
+        a, low = 0, n
+        for k in range(1, r + 1):
+            if p[r - k] < low:
+                low = p[r - k]
+            if low == n - k:
+                a = k
+        # Undo the rearrangement, B~ A~ n C~ -> A B n C, and drop n.
+        reduced = _shift(p[r - a : r], a + 1 - n) + _shift(p[: r - a] + p[r + 1 :], a)
+        # For a member, n was inserted before reduced[r], its j-th LR-max.
+        j = len(lr_maxima(reduced[: r + 1]))
+        if insert_largest(reduced, j) != p:
+            raise ValueError(f"not (3142,2-41-3)-avoiding: {format_perm(pi)}")
+        parts = components(reduced)
+        nodes.append((j, len(parts)))
+        todo.extend(reversed(parts))
+    return nodes
 
 
 # ---------------------------------------------------------------------------

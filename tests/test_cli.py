@@ -175,6 +175,36 @@ def test_biject_perm_to_tree(capsys, monkeypatch):
     assert out.splitlines() == FOUR_NODE_TREES
 
 
+@pytest.mark.parametrize("perm", ["3 1 4 2", "2 4 1 3"])
+def test_biject_rejects_non_members(perm, capsys, monkeypatch):
+    'A permutation outside the class exits 2 with one line naming it'
+    code, out, err = run(
+        ["biject", "--from", "perm", "--to", "tree"], capsys, monkeypatch, stdin=perm + "\n"
+    )
+    assert (code, out, err) == (2, "", f"mapscope: line 1: not (3142,2-41-3)-avoiding: {perm}\n")
+
+
+def test_biject_rejects_non_permutations(capsys, monkeypatch):
+    code, out, err = run(
+        ["biject", "--from", "perm", "--to", "tree"], capsys, monkeypatch, stdin="1 3 3\n"
+    )
+    assert (code, out, err) == (2, "", "mapscope: line 1: not a permutation of 1..3: '1 3 3'\n")
+
+
+def test_deep_permutation_streams_through(capsys, monkeypatch):
+    'The decreasing member of 1,000 letters passes stats and biject, exit 0'
+    stdin = " ".join(map(str, range(1000, 0, -1))) + "\n"
+    rows = _rows(["stats", "--object", "perm"], capsys, monkeypatch, stdin)
+    assert [row.pop("perm") for row in rows] == [stdin.strip()]
+    assert rows == [
+        {"length": 1000, "components": 1, "lr_maxima": 1, "m_occurrences": 999,
+         "indecomposable": True, "in_class": True, "primitive": False},
+    ]
+    code, out, err = run(["biject", "--from", "perm", "--to", "tree"], capsys, monkeypatch, stdin)
+    assert (code, err) == (0, "")
+    assert out == "(1 " * 1000 + "(1)" + ")" * 1000 + "\n"
+
+
 def test_biject_tree_to_map(capsys, monkeypatch):
     'The one-node tree is the single-edge map'
     code, out, _ = run(

@@ -33,7 +33,7 @@ from mapscope.perms import (
     tree_to_perm,
 )
 from mapscope.trees import enumerate_trees, format_tree, parse_tree
-from mapscope.verify import brute_force_av, naive_mesh_occurrences
+from mapscope.verify import _has_2_41_3, _has_3142, brute_force_av, naive_mesh_occurrences
 
 import pytest
 
@@ -82,6 +82,47 @@ def test_in_class_counts():
         assert len(generate_av(n)) == AV_COUNTS[n]
     for n in range(7):
         assert generate_av(n) == brute_force_av(n)
+
+
+def test_in_class_matches_the_oracles():
+    'The checked unfold agrees with the direct scans and the matcher on every pi, n <= 7'
+    for n in range(8):
+        for pi in itertools.permutations(range(1, n + 1)):
+            member = in_class(pi)
+            assert member == (not _has_3142(pi) and not _has_2_41_3(pi)), pi
+            assert member == avoids(pi, (P3142, P2413_VINC)), pi
+
+
+def test_in_class_matches_brute_force_at_length_8():
+    members = set(brute_force_av(8))
+    assert len(members) == 9614
+    for pi in itertools.permutations(range(1, 9)):
+        assert in_class(pi) == (pi in members), pi
+
+
+@pytest.mark.parametrize("pi", [(3, 1, 4, 2), (2, 4, 1, 3), (1, 4, 2, 5, 3), (5, 3, 1, 6, 4, 2)])
+def test_perm_to_tree_rejects_non_members(pi):
+    assert not in_class(pi)
+    with pytest.raises(ValueError) as err:
+        perm_to_tree(pi)
+    assert str(err.value) == f"not (3142,2-41-3)-avoiding: {format_perm(pi)}"
+
+
+def test_perm_to_tree_rejects_non_permutations():
+    for word in [(1, 1), (2,), (0, 1)]:
+        assert not in_class(word)
+        with pytest.raises(ValueError) as err:
+            perm_to_tree(word)
+        assert str(err.value) == f"not a permutation of 1..{len(word)}: {word!r}"
+
+
+def test_deep_member_unfolds():
+    'The decreasing member of 1,000 letters is the path on 1,001 nodes, both ways'
+    pi = tuple(range(1000, 0, -1))
+    assert in_class(pi)
+    path = perm_to_tree(pi)
+    assert format_tree(path) == "(1 " * 1000 + "(1)" + ")" * 1000
+    assert tree_to_perm(path) == pi
 
 
 def test_bijection_goldens():

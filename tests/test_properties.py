@@ -3,7 +3,16 @@
 import pytest
 
 from mapscope.maps import format_map, parse_map, tree_to_map, validate_map
-from mapscope.perms import format_perm, parse_perm, perm_to_tree, tree_to_perm
+from mapscope.perms import (
+    P2413_VINC,
+    P3142,
+    avoids,
+    format_perm,
+    in_class,
+    parse_perm,
+    perm_to_tree,
+    tree_to_perm,
+)
 from mapscope.trees import LabeledTree, format_tree, parse_tree
 from mapscope.verify import _oracle_nonseparable
 
@@ -88,3 +97,16 @@ def test_tree_equality_is_text_equality(a, b, same):
     assert (a == b) == (format_tree(a) == format_tree(b))
     if a == b:
         assert hash(a) == hash(b)
+
+
+@settings
+@hypothesis.given(
+    st.one_of(
+        st.integers(0, 14).flatmap(lambda n: st.permutations(range(1, n + 1))),
+        trees(max_nodes=15).map(tree_to_perm),
+    )
+)
+def test_in_class_agrees_with_the_matcher(pi):
+    'Membership by the checked unfold equals avoidance by the vincular matcher'
+    pi = tuple(pi)
+    assert in_class(pi) == avoids(pi, (P3142, P2413_VINC))
