@@ -16,7 +16,6 @@ import argparse
 import csv
 import json
 import sys
-from fractions import Fraction
 
 import mpmath
 
@@ -53,13 +52,13 @@ from .perms import (
     tree_to_perm,
 )
 from .trees import (
+    _require_valid,
     count_trees,
     format_tree,
     iter_subtrees,
     parse_tree,
     select_trees,
     tree_stats,
-    validate_tree,
 )
 from .verify import SUITE_NAMES, _env_max_size, format_report, report_to_dict, run_suite
 
@@ -125,10 +124,6 @@ def _emit_rows(rows, fieldnames, fmt: str, out) -> None:
     else:
         for row in rows:
             out.write(" ".join(f"{k}={row[k]}" for k in fieldnames) + "\n")
-
-
-def _coeff_repr(c: Fraction):
-    return int(c) if c.denominator == 1 else str(c)
 
 
 def _emit_objects(texts, kind: str, fmt: str, out) -> None:
@@ -218,9 +213,7 @@ def _cmd_biject(args) -> int:
         if dst == "perm":
             return format_perm(tree_to_perm(t))
         if src == "tree":  # the other legs validate inside the bijections
-            msg = validate_tree(t)
-            if msg != "ok":
-                raise ValueError(f"invalid tree: {msg}")
+            _require_valid(t)
         return format_tree(t)
 
     texts = _map_stdin(convert)
@@ -336,7 +329,7 @@ def _cmd_series(args) -> int:
             rows.append(
                 {
                     "n": n,
-                    "coefficient": _coeff_repr(coeff),
+                    "coefficient": coeff,
                     "asymptotic": mpmath.nstr(est, 12),
                     "relative_error": rel,
                 }
@@ -345,9 +338,7 @@ def _cmd_series(args) -> int:
             rows, ["n", "coefficient", "asymptotic", "relative_error"], "csv", sys.stdout
         )
         return 0
-    rows = (
-        {"n": n, "coefficient": _coeff_repr(ser[n])} for n in range(1, args.terms + 1)
-    )
+    rows = ({"n": n, "coefficient": ser[n]} for n in range(1, args.terms + 1))
     if args.format == "text":
         for row in rows:
             print(row["coefficient"])

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .trees import LabeledTree, postorder, validate_tree
+from .trees import LabeledTree, _require_valid, postorder
 
 __all__ = [
     "CombinatorialMap",
@@ -155,58 +155,19 @@ def _dart_vertex(m: CombinatorialMap) -> list[int]:
 
 
 def is_nonseparable(m: CombinatorialMap) -> bool:
-    """No loops and no cut vertices (and at least one edge)."""
+    """No loops and no cut vertices (a valid map has at least one edge).
+
+    In a loopless plane map, v is a cut vertex iff some facial walk passes v
+    twice.  (<=) Two corners of one face at v give a closed curve through that
+    face meeting the map only at v; each side holds an edge at v, whose other
+    end is off v, so removing v disconnects them.  (=>) A corner at v between
+    two blocks starts a walk that must come back to v through the other block.
+    """
     at = _dart_vertex(m)
-    n_vertices = max(at) + 1
-    edges = []  # (u, v) per edge, indexed by edge id
-    for d in range(0, m.n_darts):
-        if d < m.alpha[d]:
-            u, v = at[d], at[m.alpha[d]]
-            if u == v:
-                return False  # loop
-            edges.append((u, v))
-    if n_vertices <= 2:
-        return True  # a single edge or a bundle of parallels has no cut vertex
-    # Iterative articulation-point search (Tarjan lowlinks, multigraph-aware:
-    # the edge back to the parent is skipped by edge id, so parallel edges
-    # count as cycles).
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_vertices)]
-    for eid, (u, v) in enumerate(edges):
-        adj[u].append((v, eid))
-        adj[v].append((u, eid))
-    disc = [-1] * n_vertices
-    low = [0] * n_vertices
-    timer = 0
-    root_children = 0
-    stack: list[tuple[int, int, int]] = [(0, -1, 0)]  # (vertex, via edge id, iter idx)
-    order: list[tuple[int, int]] = []
-    disc[0] = low[0] = timer
-    timer += 1
-    while stack:
-        v, via, idx = stack.pop()
-        if idx < len(adj[v]):
-            stack.append((v, via, idx + 1))
-            w, eid = adj[v][idx]
-            if eid == via:
-                continue
-            if disc[w] == -1:
-                disc[w] = low[w] = timer
-                timer += 1
-                if v == 0:
-                    root_children += 1
-                order.append((v, w))
-                stack.append((w, eid, 0))
-            else:
-                low[v] = min(low[v], disc[w])
-    if timer != n_vertices:
-        return False  # underlying graph disconnected (cannot happen for valid maps)
-    for v, w in reversed(order):
-        low[v] = min(low[v], low[w])
-        if v != 0 and low[w] >= disc[v]:
-            return False  # v is an articulation point
-    if root_children > 1:
-        return False
-    return True
+    if any(at[d] == at[e] for d, e in enumerate(m.alpha)):
+        return False  # loop
+    phi = tuple(m.sigma[e] for e in m.alpha)
+    return all(len({at[d] for d in orb}) == len(orb) for orb in _orbits(phi))
 
 
 def has_multiple_edges(m: CombinatorialMap) -> bool:
@@ -265,9 +226,7 @@ def tree_to_map(t: LabeledTree) -> CombinatorialMap:
     constant-time rotation update.  The nodes are built children first, in
     `postorder`, so deep trees need no recursion.
     """
-    msg = validate_tree(t)
-    if msg != "ok":
-        raise ValueError(f"invalid tree: {msg}")
+    _require_valid(t)
     alpha: list[int] = []
     sigma: list[int] = []
     # (root_dart, R_corner, star_corner) of each node whose parent is not yet

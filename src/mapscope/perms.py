@@ -33,11 +33,10 @@ unfold, not the matcher: a permutation is a member exactly when
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .trees import LabeledTree, postorder, validate_tree
+from .trees import LabeledTree, _require_valid, postorder
 
 __all__ = [
     "Permutation",
@@ -46,7 +45,6 @@ __all__ = [
     "M",
     "M_PRIME",
     "N",
-    "INDEC",
     "INS1",
     "INS2",
     "P3142",
@@ -69,8 +67,6 @@ __all__ = [
     "one_step_expansions",
     "parse_perm",
     "format_perm",
-    "parse_mesh_pattern",
-    "format_mesh_pattern",
 ]
 
 Permutation = tuple[int, ...]
@@ -92,7 +88,6 @@ class VincularPattern:
 M = MeshPattern((2, 1), frozenset({(1, 0), (1, 1), (1, 2), (2, 1)}))
 M_PRIME = MeshPattern((2, 1), M.shaded | {(0, 2), (2, 2)})
 N = MeshPattern((1,), frozenset({(0, 0), (0, 1), (1, 1)}))
-INDEC = MeshPattern((1, 2), frozenset({(0, 1), (0, 2), (1, 1), (1, 2), (2, 0)}))
 INS1 = MeshPattern((2, 1), frozenset({(0, 1), (1, 0), (1, 1), (1, 2), (2, 1)}))
 INS2 = MeshPattern((2, 1), frozenset({(0, 0), (1, 0), (1, 1), (1, 2), (2, 1)}))
 P3142: Permutation = (3, 1, 4, 2)
@@ -386,9 +381,7 @@ def generate_av(n: int) -> list[Permutation]:
 
 def tree_to_perm(t: LabeledTree) -> Permutation:
     """Tree on n+1 nodes -> class member of length n (single node -> empty)."""
-    msg = validate_tree(t)
-    if msg != "ok":
-        raise ValueError(f"invalid tree: {msg}")
+    _require_valid(t)
     return _ttp(t)
 
 
@@ -555,22 +548,3 @@ def parse_perm(text: str) -> Permutation:
     if sorted(values) != list(range(1, len(values) + 1)):
         raise ValueError(f"not a permutation of 1..{len(values)}: {text!r}")
     return values
-
-
-def format_mesh_pattern(pat: MeshPattern) -> str:
-    cells = ",".join(f"({a},{b})" for a, b in sorted(pat.shaded))
-    return "".join(map(str, pat.base)) + "/" + cells
-
-
-def parse_mesh_pattern(text: str) -> MeshPattern:
-    """Parse "21/(1,0),(1,1),(1,2),(2,1)" into a MeshPattern."""
-    base_txt, _, cells_txt = text.partition("/")
-    base = parse_perm(base_txt.strip())
-    cells = set()
-    rest = cells_txt.strip()
-    if rest:
-        for m in re.finditer(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)", rest):
-            cells.add((int(m.group(1)), int(m.group(2))))
-        if not cells:
-            raise ValueError(f"malformed cell list: {cells_txt!r}")
-    return MeshPattern(base, frozenset(cells))

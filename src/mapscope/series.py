@@ -509,36 +509,15 @@ class SingularityEstimate:
     gamma: mpmath.mpf
 
 
-def _q_funcs():
-    """Q, Q_x, Q_z, Q_zz for the quartic, as mpmath-evaluable callables."""
-    terms = B3_EQUATION.coeffs
-
-    def q(x, z):
-        return mpmath.fsum(c * x**i * z**j for (i, j), c in terms)
-
-    def qx(x, z):
-        return mpmath.fsum(
-            c * i * x ** (i - 1) * z**j for (i, j), c in terms if i >= 1
-        )
-
-    def qz(x, z):
-        return mpmath.fsum(
-            c * j * x**i * z ** (j - 1) for (i, j), c in terms if j >= 1
-        )
-
-    def qzz(x, z):
-        return mpmath.fsum(
-            c * j * (j - 1) * x**i * z ** (j - 2) for (i, j), c in terms if j >= 2
-        )
-
-    def qxz(x, z):
-        return mpmath.fsum(
-            c * i * j * x ** (i - 1) * z ** (j - 1)
-            for (i, j), c in terms
-            if i >= 1 and j >= 1
-        )
-
-    return q, qx, qz, qzz, qxz
+def _dq(a: int, b: int):
+    """The partial derivative d^a/dx^a d^b/dz^b of the quartic Q, as an
+    mpmath-evaluable callable."""
+    terms = [
+        (c * math.perm(i, a) * math.perm(j, b), i - a, j - b)
+        for (i, j), c in B3_EQUATION.coeffs
+        if i >= a and j >= b
+    ]
+    return lambda x, z: mpmath.fsum(c * x**i * z**j for c, i, j in terms)
 
 
 @lru_cache(maxsize=1)
@@ -558,7 +537,7 @@ def b3_singularity() -> SingularityEstimate:
     # Seed z by the truncated series a touch inside the radius.
     xs = x0 * (1 - mpmath.mpf(1) / 50)
     z0 = mpmath.fsum(b3[k] * xs**k for k in range(202))
-    q, qx, qz, qzz, qxz = _q_funcs()
+    q, qx, qz, qzz, qxz = _dq(0, 0), _dq(1, 0), _dq(0, 1), _dq(0, 2), _dq(1, 1)
     x, z = x0, z0
     for _ in range(200):
         f1, f2 = q(x, z), qz(x, z)

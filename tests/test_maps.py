@@ -1,3 +1,5 @@
+from itertools import permutations
+
 from mapscope.maps import (
     CombinatorialMap,
     DOUBLED_EDGE_NO_2FACE_MAP,
@@ -16,6 +18,7 @@ from mapscope.maps import (
     vertex_orbits,
 )
 from mapscope.trees import enumerate_trees, parse_tree, tree_stats
+from mapscope.verify import _oracle_has_multiple_edges, _oracle_nonseparable
 
 import pytest
 
@@ -129,3 +132,23 @@ def test_nonseparability_matches_enumeration():
     for n in range(2, 7):
         for t in enumerate_trees(n):
             assert is_nonseparable(tree_to_map(t))
+
+
+def test_map_predicates_match_oracles_on_every_small_map():
+    """Every connected planar rotation system with <= 4 edges (alpha d ^ 1,
+    any sigma): the facial-walk test and the multi-edge test agree with the
+    vertex-deletion and edge-list oracles."""
+    n_maps = n_nonseparable = 0
+    for edges in range(1, 5):
+        alpha = tuple(d ^ 1 for d in range(2 * edges))
+        for sigma in permutations(range(2 * edges)):
+            try:
+                m = CombinatorialMap(2 * edges, alpha, sigma, 0)
+            except ValueError:
+                continue
+            n_maps += 1
+            nonseparable = _oracle_nonseparable(m)
+            n_nonseparable += nonseparable
+            assert is_nonseparable(m) == nonseparable, m
+            assert has_multiple_edges(m) == _oracle_has_multiple_edges(m), m
+    assert (n_maps, n_nonseparable) == (18596, 307)

@@ -18,6 +18,7 @@ from mapscope.series import (
     P,
     PPRIME,
     RationalSeries,
+    SERIES_NAMES,
     ZEILBERGER_CUBIC,
     EquationSpec,
     asymptotic,
@@ -251,6 +252,8 @@ def test_integral_coefficients_are_ints():
     assert all(type(c) is int for c in sqrt_series(RationalSeries.poly([1, -2, -7], 200)).coeffs)
     for f in (p_coefficient, pprime_coefficient, primitive_maps_with_edges):
         assert type(f(300)) is int
+    for name in SERIES_NAMES:  # the CLI prints and JSON-encodes them as they are
+        assert all(type(c) is int for c in series(name, 60).coeffs), name
 
 
 def test_b3_equation_residual_and_seed():
