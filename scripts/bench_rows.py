@@ -35,6 +35,7 @@ CLI_ROWS = [
      "--filter", "no-only-children", "--count-only"],
     ["enumerate", "--object", "trees", "--size", "10", "--count-only"],
     ["enumerate", "--object", "trees", "--size", "10", "--filter", "k-face-free=3", "--count-only"],
+    ["enumerate", "--object", "trees", "--size", "11", "--filter", "primitive"],
     ["enumerate", "--object", "maps", "--size", "10", "--filter", "primitive", "--count-only"],
 ]
 REPEAT = 5

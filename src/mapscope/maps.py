@@ -51,10 +51,6 @@ class CombinatorialMap:
         if msg != "ok":
             raise ValueError(f"invalid map: {msg}")
 
-    def phi(self, d: int) -> int:
-        """Next dart along the face to the right of d."""
-        return self.sigma[self.alpha[d]]
-
 
 @dataclass(frozen=True)
 class FaceReport:

@@ -205,14 +205,14 @@ def sqrt_series(f: RationalSeries, order: int | None = None) -> RationalSeries:
     return RationalSeries(tuple(s))
 
 
-def compose(f: RationalSeries, g: RationalSeries, order: int | None = None) -> RationalSeries:
-    """f(g(x)); requires g(0) = 0."""
+def compose(f: RationalSeries, g: RationalSeries) -> RationalSeries:
+    """f(g(x)) to the smaller order of f and g; requires g(0) = 0."""
     if g.coeffs[0] != 0:
         raise ValueError("compose requires g(0) = 0")
-    n = min(f.order, g.order) if order is None else order
+    n = min(f.order, g.order)
     g = g.truncate(n)
-    acc = RationalSeries.poly([f.coeffs[min(f.order, n)]], n)
-    for k in range(min(f.order, n) - 1, -1, -1):
+    acc = RationalSeries.poly([f.coeffs[n]], n)
+    for k in range(n - 1, -1, -1):
         acc = acc * g + RationalSeries.poly([f.coeffs[k]], n)
     return acc
 

@@ -176,8 +176,9 @@ def _require_valid(t: LabeledTree) -> None:
 # Order contract: subtree-size compositions of the children are generated in
 # lexicographic order; for a fixed composition the child choices vary
 # rightmost-fastest; for non-root internal nodes the label loop is innermost
-# and ascending.  This makes the enumeration order reproducible, and a label
-# cap or the no-only-children rule keeps the surviving trees in that order.
+# and ascending.  This makes the enumeration order reproducible.  Every filter
+# prunes the generation: a child tuple is kept only when a node over it
+# passes every rule, so the surviving trees keep that order.
 # ---------------------------------------------------------------------------
 
 
@@ -195,55 +196,36 @@ def _compositions(n: int) -> Iterator[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _subtrees_free_top(n: int, cap: Optional[int], forbid: bool) -> tuple[LabeledTree, ...]:
-    """All n-node trees valid below a parent: top label ranges over 1..children-sum.
-
-    Every label of the subtree is at most `cap` (None: uncapped), and with
-    `forbid` no node of it has exactly one child.
-    """
-    if n == 1:
-        return (leaf(),)
+def _subtrees_free_top(n: int, cap: Optional[int], rules) -> tuple[LabeledTree, ...]:
+    """All n-node trees valid below a parent: top label ranges over 1..children-sum
+    (1 for a leaf).  Every label is at most `cap` (None: uncapped), and every
+    node passes every rule's node test."""
     out: list[LabeledTree] = []
-    for kids in _forests(n - 1, cap, forbid):
-        top = sum(c.label for c in kids)
+    for kids in _forests(n - 1, cap, rules):
+        top = sum(c.label for c in kids) or 1
         if cap is not None:
             top = min(top, cap)
         out.extend(LabeledTree(lab, kids) for lab in range(1, top + 1))
     return tuple(out)
 
 
-def _forests(n: int, cap: Optional[int], forbid: bool) -> Iterator[tuple[LabeledTree, ...]]:
-    """Ordered forests with n >= 1 nodes in all, as child tuples, in contract order."""
+def _forests(n: int, cap: Optional[int], rules) -> Iterator[tuple[LabeledTree, ...]]:
+    """Ordered forests with n >= 0 nodes in all, as child tuples, in contract
+    order, kept when a node over them passes every rule."""
     for comp in _compositions(n):
-        if forbid and len(comp) == 1:
+        m = len(comp)
+        live, sums = tuple(r for r in rules if 0 < m < r.m_cap), range(m, 5)
+        # Skip the product when a rule fails a node with m children whatever
+        # its clamped deficit and label sum.
+        if any(not any(r.node(m, d, s) for d in range(r.d_cap + 1) for s in sums) for r in live):
             continue
-        yield from product(*(_subtrees_free_top(k, cap, forbid) for k in comp))
+        forests = product(*(_subtrees_free_top(k, cap, rules) for k in comp))
+        yield from (kids for kids in forests if _node_passes(kids, live)) if live else forests
 
 
-def _iter_trees(nodes: int, label_cap: Optional[int], forbid: bool) -> Iterator[LabeledTree]:
-    """The trees of `enumerate_trees`, one at a time; the arguments are not checked."""
-    if nodes == 1:
-        yield leaf()
-        return
-    for kids in _forests(nodes - 1, label_cap, forbid):
-        yield LabeledTree(sum(c.label for c in kids), kids)
-
-
-def enumerate_trees(
-    nodes: int, label_cap: Optional[int] = None, forbid_only_children: bool = False
-) -> list[LabeledTree]:
-    """All beta(1,0)-trees with exactly `nodes` nodes, in the documented order.
-
-    With `label_cap`, only trees whose non-root labels are <= label_cap (the
-    cap does not apply to the root); with `forbid_only_children`, only trees
-    in which no node, root included, has exactly one child.  Both restrictions
-    prune the generation rather than filter its output.
-    """
-    if nodes < 1:
-        raise ValueError("empty tree not modeled")
-    if label_cap is not None and label_cap < 1:
-        raise ValueError("label_cap must be >= 1")
-    return list(_iter_trees(nodes, label_cap, forbid_only_children))
+def enumerate_trees(nodes: int, filters=()) -> list[LabeledTree]:
+    """`select_trees(nodes, filters)` as a list."""
+    return list(select_trees(nodes, filters))
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +234,12 @@ def enumerate_trees(
 # labels; and the root label is not `bad_root` (0: none).  `node` holds when
 # m = 0 or m >= m_cap, and reads d as min(d, d_cap) and s as min(s, 4), so
 # the counting DP may clamp them.  `labels-max` caps the non-root labels.
+# The listing, the counting DP and the public predicates read the same rules.
 # ---------------------------------------------------------------------------
 
 
 _Rule = namedtuple("_Rule", "node bad_root m_cap d_cap")
 
-# A single child has maximum label iff its deficit is 0.
-_PRIMITIVE = _Rule(lambda m, d, s: m != 1 or d > 0, 0, 2, 1)
 _MEF_NECESSARY = _Rule(lambda m, d, s: m != 1 or (d > 0 and s != 1), 1, 2, 1)
 _NO_ONLY_CHILDREN = _Rule(lambda m, d, s: m != 1, 0, 2, 0)
 # No face of degree k: a node makes an internal face of degree 1+m+d, the root
@@ -268,6 +249,8 @@ _K_FACE_FREE = {
     k: _Rule(lambda m, d, s, k=k: not (1 <= m <= k - 1 and d == k - m - 1), k - 1, k, k - 1)
     for k in (2, 3, 4)
 }
+# No internal 2-face: a single child has maximum label iff its deficit is 0.
+_PRIMITIVE = _K_FACE_FREE[2]._replace(bad_root=0)
 _NAMED_RULES = {"primitive": _PRIMITIVE, "two-face-free": _K_FACE_FREE[2],
                 "mef-necessary": _MEF_NECESSARY, "no-only-children": _NO_ONLY_CHILDREN}
 
@@ -299,28 +282,36 @@ def parse_filters(specs) -> tuple[Optional[int], tuple[_Rule, ...]]:
     return cap, tuple(rules)
 
 
+def _node_passes(kids: tuple[LabeledTree, ...], rules) -> bool:
+    """Whether a node over the child tuple `kids` passes every rule's node test."""
+    s = sum(c.label for c in kids)
+    d = sum(map(max_label_value, kids)) - s
+    return all(r.node(len(kids), d, s) for r in rules)
+
+
 def _passes(t: LabeledTree, rules) -> bool:
     """Whether t passes every rule (t is not validated)."""
     if any(t.label == r.bad_root for r in rules):
         return False
     m_cap = max((r.m_cap for r in rules), default=0)
-    for u in iter_subtrees(t):
-        if 0 < len(u.children) < m_cap:
-            m, s = len(u.children), children_sum(u)
-            if not all(r.node(m, sum(map(max_label_value, u.children)) - s, s) for r in rules):
-                return False
-    return True
+    return all(
+        _node_passes(u.children, rules)
+        for u in iter_subtrees(t)
+        if 0 < len(u.children) < m_cap
+    )
 
 
 def select_trees(nodes: int, filters=()) -> Iterator[LabeledTree]:
-    """The trees of `enumerate_trees(nodes)` that pass every filter spec, in
-    order, one at a time.  The specs are checked now, before the first tree."""
+    """The beta(1,0)-trees with exactly `nodes` nodes that pass every filter
+    spec (see `parse_filters`), in the documented order, one at a time.  The
+    specs are checked now, before the first tree."""
     if nodes < 1:
         raise ValueError("empty tree not modeled")
     cap, rules = parse_filters(filters)
-    forbid = _NO_ONLY_CHILDREN in rules  # pruned; the other rules are walked
-    rules = tuple(r for r in rules if r is not _NO_ONLY_CHILDREN)
-    return (t for t in _iter_trees(nodes, cap, forbid) if not rules or _passes(t, rules))
+    bad_roots = {r.bad_root for r in rules}
+    forests = _forests(nodes - 1, cap, rules)
+    roots = (LabeledTree(sum(c.label for c in kids) or 1, kids) for kids in forests)
+    return (t for t in roots if t.label not in bad_roots)
 
 
 def count_trees(nodes: int, filters=()) -> int:

@@ -67,10 +67,8 @@ from .series import (
     tutte_count,
 )
 from .trees import (
-    LabeledTree,
     enumerate_trees,
     is_k_face_free_tree,
-    iter_subtrees,
     tree_stats,
     format_tree,
 )
@@ -434,31 +432,12 @@ def check_theorem5(n_max: int = 9) -> VerificationReport:
     return _finish("theorem5", {"n_max": n_max}, witnesses, start)
 
 
-def _prose_k_face_free(t: LabeledTree, k: int) -> bool:
-    # The alternative root rule (root label = k rather than k - 1); kept only
-    # so the suite can report if it ever beats the implemented reading.
-    if t.label == k:
-        return False
-    for s in iter_subtrees(t):
-        m = len(s.children)
-        if 1 <= m <= k - 1:
-            deficit = sum(
-                (sum(c.label for c in child.children) if child.children else 1)
-                - child.label
-                for child in s.children
-            )
-            if deficit == k - m - 1:
-                return False
-    return True
-
-
 def check_kfacefree(n_max: int = 9) -> VerificationReport:
     """Label predicate vs direct face computation, k in {2, 3, 4}."""
     if not 1 <= n_max <= 10:
         raise ValueError("n_max is guarded to 1..10 nodes")
     start = time.perf_counter()
     witnesses = []
-    prose_wins = 0
     for size in range(1, n_max + 1):
         for t in enumerate_trees(size):
             m = tree_to_map(t)
@@ -474,16 +453,6 @@ def check_kfacefree(n_max: int = 9) -> VerificationReport:
                             str(predicate),
                         )
                     )
-                    if _prose_k_face_free(t, k) == oracle:
-                        prose_wins += 1
-    if witnesses and prose_wins:
-        witnesses.append(
-            (
-                "alternative root rule (label = k)",
-                "never needed",
-                f"matched the face oracle {prose_wins} time(s)",
-            )
-        )
     return _finish("kfacefree", {"n_max": n_max}, witnesses, start)
 
 
@@ -504,13 +473,13 @@ def check_bounds(n_max: int = 8, coeff_nodes: int = 12) -> VerificationReport:
     for name, cap in ((B1, 1), (B2, 2), (B3, 3)):
         ser = series(name, coeff_nodes)
         for m in range(1, coeff_nodes + 1):
-            counted = len(enumerate_trees(m, cap, True))
+            counted = len(enumerate_trees(m, (f"labels-max={cap}", "no-only-children")))
             if ser[m] != counted:
                 witnesses.append(
                     (f"[x^{m}] {name} vs cap-{cap} trees", str(counted), str(ser[m]))
                 )
     for m in range(2, n_max + 1):
-        cap3 = len(enumerate_trees(m, 3, True))
+        cap3 = len(enumerate_trees(m, ("labels-max=3", "no-only-children")))
         mef = 0
         two_face_free = 0
         for t in enumerate_trees(m):

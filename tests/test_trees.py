@@ -167,13 +167,13 @@ def test_restricted_enumeration_counts():
     b2 = [1, 0, 1, 1, 5, 11, 39, 113]
     b3 = [1, 0, 1, 1, 5, 13, 48, 160]
     for m in range(1, 9):
-        assert len(enumerate_trees(m, 1, True)) == b1[m - 1]
-        assert len(enumerate_trees(m, 2, True)) == b2[m - 1]
-        assert len(enumerate_trees(m, 3, True)) == b3[m - 1]
+        assert len(enumerate_trees(m, ["labels-max=1", "no-only-children"])) == b1[m - 1]
+        assert len(enumerate_trees(m, ["labels-max=2", "no-only-children"])) == b2[m - 1]
+        assert len(enumerate_trees(m, ["labels-max=3", "no-only-children"])) == b3[m - 1]
 
 
 def test_restricted_trees_respect_their_predicates():
-    for t in enumerate_trees(6, 2, True):
+    for t in enumerate_trees(6, ["labels-max=2", "no-only-children"]):
         assert has_no_only_children(t)
         assert all(s.label <= 2 for s in iter_subtrees(t) if s is not t)
 
@@ -190,13 +190,16 @@ def test_pruned_enumeration_equals_filtered():
                     if all(s.label <= cap for c in t.children for s in iter_subtrees(c))
                     and (not forbid or has_no_only_children(t))
                 ]
-                assert enumerate_trees(n, cap, forbid) == expected
-        assert enumerate_trees(n, None, True) == [t for t in full if has_no_only_children(t)]
+                specs = [f"labels-max={cap}"] + ["no-only-children"] * forbid
+                assert enumerate_trees(n, specs) == expected
+        assert enumerate_trees(n, ["no-only-children"]) == [
+            t for t in full if has_no_only_children(t)
+        ]
 
 
 def test_enumerate_rejects_bad_cap():
     with pytest.raises(ValueError):
-        enumerate_trees(3, 0)
+        enumerate_trees(3, ["labels-max=0"])
 
 
 def test_has_max_label_convention():
@@ -242,6 +245,12 @@ def test_count_dp_equals_filtered_enumeration():
             kept = [t for i, t in enumerate(full) if all(passes[s][i] for s in specs)]
             assert count_trees(n, specs) == len(kept), (n, specs)
             assert list(select_trees(n, specs)) == kept, (n, specs)
+
+
+def test_every_single_filter_lists_what_it_counts():
+    'At 10 nodes the pruned listing of every single filter holds as many trees as the DP counts'
+    for spec in FILTER_PREDICATES:
+        assert sum(1 for _ in select_trees(10, [spec])) == count_trees(10, [spec]), spec
 
 
 def test_count_dp_primitive_matches_binomial_transform():
