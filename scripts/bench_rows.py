@@ -72,7 +72,7 @@ def _library_rows():
         ),
         "count_trees(10)": lambda: trees.count_trees(10),
         "cli._map_stat_row, maps of all 8-node trees": lambda: [
-            cli._map_stat_row(line) for line in map_lines
+            cli._map_stat_row(maps.parse_map(line)) for line in map_lines
         ],
         "tree_to_perm + perm_to_tree, all 9-node trees": lambda: [
             perms.perm_to_tree(perms.tree_to_perm(t)) for t in nine

@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
+from functools import partial
+from operator import itemgetter
 
 import mpmath
 
@@ -52,6 +55,7 @@ from .perms import (
     tree_to_perm,
 )
 from .trees import (
+    TreeStats,
     _require_valid,
     count_trees,
     format_tree,
@@ -107,41 +111,35 @@ def _reader(kind: str):
 
 
 # ---------------------------------------------------------------------------
-# Output helpers
+# Output
 # ---------------------------------------------------------------------------
 
 
-def _emit_rows(rows, fieldnames, fmt: str, out) -> None:
-    """rows: iterable of dicts sharing `fieldnames`."""
+def _emit(rows, fields, fmt: str, text=None) -> None:
+    """Write dict rows keyed by `fields` to stdout in `fmt`: a CSV header and
+    the rows, one JSON object per line, or `text(row)` per line (default:
+    key=value pairs).  A lone map is already a JSON object and is written as
+    it stands."""
+    out = sys.stdout
     if fmt == "csv":
-        writer = csv.DictWriter(out, fieldnames=fieldnames, lineterminator="\n")
+        writer = csv.DictWriter(out, fieldnames=fields, lineterminator="\n")
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-    elif fmt == "json":
-        for row in rows:
-            out.write(json.dumps(row, separators=(", ", ": ")) + "\n")
-    else:
-        for row in rows:
-            out.write(" ".join(f"{k}={row[k]}" for k in fieldnames) + "\n")
+        writer.writerows(rows)
+        return
+    if fmt == "json":
+        dumps = partial(json.dumps, separators=(", ", ": "))
+        text = itemgetter("map") if fields == ["map"] else dumps
+    for row in rows:
+        line = text(row) if text else " ".join(f"{k}={row[k]}" for k in fields)
+        out.write(f"{line}\n")
 
 
-def _emit_objects(texts, kind: str, fmt: str, out) -> None:
-    """One object per line; `kind` names the column/key."""
-    if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow([kind])
-        for text in texts:
-            writer.writerow([text])
-    elif fmt == "json":
-        for text in texts:
-            if kind == "map":
-                out.write(text + "\n")  # already a JSON object
-            else:
-                out.write(json.dumps({kind: text}, separators=(", ", ": ")) + "\n")
-    else:
-        for text in texts:
-            out.write(text + "\n")
+# tree -> the text of the object of each kind that it maps to
+_FROM_TREE = {
+    "tree": format_tree,
+    "map": lambda t: format_map(tree_to_map(t)),
+    "perm": lambda t: format_perm(tree_to_perm(t)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -162,25 +160,12 @@ def _cmd_enumerate(args) -> int:
     _check_size_cap(size, _env_max_size())
     filters = args.filter or []  # on trees; maps and perms inherit them by bijection
     if args.count_only:
-        count = count_trees(tree_nodes, filters)
-        if args.format == "json":
-            print(json.dumps({"count": count}))
-        elif args.format == "csv":
-            print("count")
-            print(count)
-        else:
-            print(count)
-        return 0
-    selected = select_trees(tree_nodes, filters)
-    if args.object == "trees":
-        texts = (format_tree(t) for t in selected)
-        _emit_objects(texts, "tree", args.format, sys.stdout)
-    elif args.object == "maps":
-        texts = (format_map(tree_to_map(t)) for t in selected)
-        _emit_objects(texts, "map", args.format, sys.stdout)
+        key = "count"
+        rows = [{key: count_trees(tree_nodes, filters)}]
     else:
-        texts = (format_perm(tree_to_perm(t)) for t in selected)
-        _emit_objects(texts, "perm", args.format, sys.stdout)
+        key = args.object[:-1]
+        rows = ({key: _FROM_TREE[key](t)} for t in select_trees(tree_nodes, filters))
+    _emit(rows, [key], args.format, itemgetter(key))
     return 0
 
 
@@ -203,34 +188,21 @@ def _map_stdin(convert):
 
 def _cmd_biject(args) -> int:
     src, dst = getattr(args, "from"), args.to
-    read = _reader(src)
+    read, to_text = _reader(src), _FROM_TREE[dst]
 
     def convert(line):
         obj = read(line)
-        t = obj if src == "tree" else perm_to_tree(obj)
-        if dst == "map":
-            return format_map(tree_to_map(t))
-        if dst == "perm":
-            return format_perm(tree_to_perm(t))
-        if src == "tree":  # the other legs validate inside the bijections
-            _require_valid(t)
-        return format_tree(t)
+        if src == "perm":
+            obj = perm_to_tree(obj)
+        elif dst == "tree":  # the other legs validate inside the bijections
+            _require_valid(obj)
+        return {dst: to_text(obj)}
 
-    texts = _map_stdin(convert)
-    _emit_objects(texts, dst, args.format, sys.stdout)
+    _emit(_map_stdin(convert), [dst], args.format, itemgetter(dst))
     return 0
 
 
-_TREE_STAT_FIELDS = [
-    "tree",
-    "nodes",
-    "leaves",
-    "internal_nodes",
-    "root_label",
-    "single_child_max_nodes",
-    "decomposable",
-    "primitive",
-]
+_TREE_STAT_FIELDS = ["tree", *(f.name for f in dataclasses.fields(TreeStats)), "primitive"]
 _MAP_STAT_FIELDS = [
     "map",
     "edges",
@@ -253,136 +225,101 @@ _PERM_STAT_FIELDS = [
 ]
 
 
-def _tree_stat_row(line: str, parse=parse_tree) -> dict:
-    t = parse(line)
+def _tree_stat_row(t) -> dict:
     st = tree_stats(t)
-    return {
-        "tree": format_tree(t),
-        "nodes": st.nodes,
-        "leaves": st.leaves,
-        "internal_nodes": st.internal_nodes,
-        "root_label": st.root_label,
-        "single_child_max_nodes": st.single_child_max_nodes,
-        "decomposable": st.decomposable,
-        "primitive": st.single_child_max_nodes == 0,
-    }
+    values = (format_tree(t), *vars(st).values(), st.single_child_max_nodes == 0)
+    return dict(zip(_TREE_STAT_FIELDS, values))
 
 
-def _map_stat_row(line: str, parse=parse_map) -> dict:
-    m = parse(line)
+def _map_stat_row(m) -> dict:
     rep = faces(m)
-    return {
-        "map": format_map(m),
-        "edges": m.n_darts // 2,
-        "vertices": len(vertex_orbits(m)),
-        "faces": len(rep.faces),
-        "root_face_degree": rep.faces[rep.root_face_index][1],
-        "internal_2faces": rep.internal_2faces,
-        "nonseparable": is_nonseparable(m),
-        "multiple_edges": has_multiple_edges(m),
-    }
+    values = (
+        format_map(m),
+        m.n_darts // 2,
+        len(vertex_orbits(m)),
+        len(rep.faces),
+        rep.faces[rep.root_face_index][1],
+        rep.internal_2faces,
+        is_nonseparable(m),
+        has_multiple_edges(m),
+    )
+    return dict(zip(_MAP_STAT_FIELDS, values))
 
 
-def _perm_stat_row(line: str, parse=parse_perm) -> dict:
-    pi = parse(line)
+def _perm_stat_row(pi) -> dict:
     member = in_class(pi)
     m_occurrences = occurrences(M, pi)
     n_components = len(components(pi))
-    return {
-        "perm": format_perm(pi),
-        "length": len(pi),
-        "components": n_components,
-        "lr_maxima": len(lr_maxima(pi)),
-        "m_occurrences": m_occurrences,
-        "indecomposable": len(pi) > 0 and n_components == 1,
-        "in_class": member,
-        "primitive": member and m_occurrences == 0,
-    }
+    values = (
+        format_perm(pi),
+        len(pi),
+        n_components,
+        len(lr_maxima(pi)),
+        m_occurrences,
+        len(pi) > 0 and n_components == 1,
+        member,
+        member and m_occurrences == 0,
+    )
+    return dict(zip(_PERM_STAT_FIELDS, values))
+
+
+_STATS = {
+    "tree": (_tree_stat_row, _TREE_STAT_FIELDS),
+    "map": (_map_stat_row, _MAP_STAT_FIELDS),
+    "perm": (_perm_stat_row, _PERM_STAT_FIELDS),
+}
 
 
 def _cmd_stats(args) -> int:
-    row_of = {
-        "tree": (_tree_stat_row, _TREE_STAT_FIELDS),
-        "map": (_map_stat_row, _MAP_STAT_FIELDS),
-        "perm": (_perm_stat_row, _PERM_STAT_FIELDS),
-    }[args.object]
-    builder, fields = row_of
-    parse = _reader(args.object)
-    rows = _map_stdin(lambda line: builder(line, parse))
-    _emit_rows(rows, fields, args.format, sys.stdout)
+    builder, stat_fields = _STATS[args.object]
+    read = _reader(args.object)
+    _emit(_map_stdin(lambda line: builder(read(line))), stat_fields, args.format)
     return 0
 
 
 def _cmd_series(args) -> int:
     if args.terms < 1:
         raise ValueError("--terms must be >= 1")
-    name = SERIES_BY_FLAG[args.name]
-    ser = build_series(name, args.terms)
+    ser = build_series(SERIES_BY_FLAG[args.name], args.terms)
+    rows = [{"n": n, "coefficient": ser[n]} for n in range(1, args.terms + 1)]
     if args.format == "csv":
-        # CSV pairs each exact coefficient with the first-order estimate.
-        asympt_name = "A" if name in (A_FORMULA, A_ZEIL, A_HYP) else name
-        rows = []
-        for n in range(1, args.terms + 1):
-            coeff = ser[n]
-            est = asymptotic(asympt_name, n)
-            rel = "" if coeff == 0 else mpmath.nstr(abs(est / coeff - 1), 6)
-            rows.append(
-                {
-                    "n": n,
-                    "coefficient": coeff,
-                    "asymptotic": mpmath.nstr(est, 12),
-                    "relative_error": rel,
-                }
-            )
-        _emit_rows(
-            rows, ["n", "coefficient", "asymptotic", "relative_error"], "csv", sys.stdout
-        )
-        return 0
-    rows = ({"n": n, "coefficient": ser[n]} for n in range(1, args.terms + 1))
-    if args.format == "text":
+        # CSV pairs each exact coefficient with the first-order estimate; every
+        # A route (a, a-zeil, a-hyp) is estimated as A.
+        asympt_name = ASYMPT_BY_FLAG[args.name.partition("-")[0]]
         for row in rows:
-            print(row["coefficient"])
-    else:
-        _emit_rows(rows, ["n", "coefficient"], args.format, sys.stdout)
+            coeff, est = row["coefficient"], asymptotic(asympt_name, row["n"])
+            row["asymptotic"] = mpmath.nstr(est, 12)
+            row["relative_error"] = "" if coeff == 0 else mpmath.nstr(abs(est / coeff - 1), 6)
+    _emit(rows, list(rows[0]), args.format, itemgetter("coefficient"))
     return 0
 
 
 def _cmd_asympt(args) -> int:
     if args.at < 1:
         raise ValueError("--at must be >= 1")
-    est = asymptotic(ASYMPT_BY_FLAG[args.name], args.at)
-    text = mpmath.nstr(est, 12)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {"name": args.name, "n": args.at, "estimate": text},
-                separators=(", ", ": "),
-            )
-        )
-    elif args.format == "csv":
-        print("name,n,estimate")
-        print(f"{args.name},{args.at},{text}")
-    else:
-        print(text)
+    est = mpmath.nstr(asymptotic(ASYMPT_BY_FLAG[args.name], args.at), 12)
+    row = {"name": args.name, "n": args.at, "estimate": est}
+    _emit([row], list(row), args.format, itemgetter("estimate"))
     return 0
+
+
+_REPORT_FIELDS = ["suite", "params", "status", "witnesses", "runtime"]
+
+
+def _report_summary(r) -> dict:
+    params = ";".join(f"{k}={v}" for k, v in r.params.items())
+    values = (r.suite, params, r.status, len(r.witnesses), f"{r.runtime:.2f}")
+    return dict(zip(_REPORT_FIELDS, values))
 
 
 def _cmd_verify(args) -> int:
     reports = run_suite(args.suite, args.max_size)
-    if args.format == "json":
-        for r in reports:
-            print(json.dumps(report_to_dict(r), separators=(", ", ": ")))
-    elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["suite", "params", "status", "witnesses", "runtime"])
-        for r in reports:
-            params = ";".join(f"{k}={v}" for k, v in r.params.items())
-            writer.writerow(
-                [r.suite, params, r.status, len(r.witnesses), f"{r.runtime:.2f}"]
-            )
-    else:
+    if args.format == "text":  # the full report, witness lines included
         for r in reports:
             print(format_report(r))
+    else:
+        to_row = report_to_dict if args.format == "json" else _report_summary
+        _emit(map(to_row, reports), _REPORT_FIELDS, args.format)
     return 1 if any(r.status == "fail" for r in reports) else 0
 
 

@@ -183,7 +183,7 @@ def _coerce(v, order: int) -> RationalSeries:
     return RationalSeries.poly([v], order)
 
 
-def sqrt_series(f: RationalSeries, order: int | None = None) -> RationalSeries:
+def sqrt_series(f: RationalSeries) -> RationalSeries:
     """Series square root; requires f(0) = 1.
 
     s = sqrt(f) solves f s' = f' s / 2, so 2k s_k = sum_{i>=1} f_i s_{k-i} (3i - 2k):
@@ -196,8 +196,8 @@ def sqrt_series(f: RationalSeries, order: int | None = None) -> RationalSeries:
     """
     if f.coeffs[0] != 1:
         raise ValueError("sqrt_series requires constant term 1")
-    n = f.order if order is None else min(order, f.order)
-    terms = [(i, a) for i, a in enumerate(f.coeffs[1 : n + 1], 1) if a]
+    n = f.order
+    terms = [(i, a) for i, a in enumerate(f.coeffs[1:], 1) if a]
     s = [1] + [0] * n
     for k in range(1, n + 1):
         acc = sum(a * s[k - i] * (3 * i - 2 * k) for i, a in terms if i <= k)

@@ -253,17 +253,20 @@ _K_FACE_FREE = {
 _PRIMITIVE = _K_FACE_FREE[2]._replace(bad_root=0)
 _NAMED_RULES = {"primitive": _PRIMITIVE, "two-face-free": _K_FACE_FREE[2],
                 "mef-necessary": _MEF_NECESSARY, "no-only-children": _NO_ONLY_CHILDREN}
+# parse_filters returns its rules in this order, once each, so that one filter
+# set shares one `_subtrees_free_top` cache however its specs are written.
+_RULE_ORDER = (_PRIMITIVE, _MEF_NECESSARY, _NO_ONLY_CHILDREN, *_K_FACE_FREE.values())
 
 
 def parse_filters(specs) -> tuple[Optional[int], tuple[_Rule, ...]]:
     """(label cap, rules) for filter specs: primitive | two-face-free |
     k-face-free=K | mef-necessary | no-only-children | labels-max=L.  A tree
     passes all of them; the smallest of several caps wins."""
-    cap, rules = None, []
+    cap, rules = None, set()
     for spec in specs:
         name, eq, text = spec.partition("=")
         if spec in _NAMED_RULES:
-            rules.append(_NAMED_RULES[spec])
+            rules.add(_NAMED_RULES[spec])
             continue
         if not eq or name not in ("k-face-free", "labels-max"):
             raise ValueError(f"unknown filter: {spec!r}")
@@ -276,10 +279,10 @@ def parse_filters(specs) -> tuple[Optional[int], tuple[_Rule, ...]]:
                 raise ValueError("labels-max filter requires a cap >= 1")
             cap = value if cap is None else min(cap, value)
         elif value in _K_FACE_FREE:
-            rules.append(_K_FACE_FREE[value])
+            rules.add(_K_FACE_FREE[value])
         else:
             raise ValueError("k-face-free filter supports k in {2, 3, 4}")
-    return cap, tuple(rules)
+    return cap, tuple(r for r in _RULE_ORDER if r in rules)
 
 
 def _node_passes(kids: tuple[LabeledTree, ...], rules) -> bool:

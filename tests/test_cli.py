@@ -445,3 +445,99 @@ def test_size_cap_applies_to_each_stdin_object(argv, small, big, size, capsys, m
     assert code == 2
     assert len(out.splitlines()) == 1
     assert err == f"mapscope: line 2: size {size} exceeds MAPSCOPE_MAX_SIZE=3\n"
+
+
+MAP_2 = '{"n_darts": 4, "alpha": [1, 0, 3, 2], "sigma": [3, 2, 1, 0], "root": 2}'
+MAP_2_CSV = '"{""n_darts"": 4, ""alpha"": [1, 0, 3, 2], ""sigma"": [3, 2, 1, 0], ""root"": 2}"'
+MAP_3 = '{"n_darts": 6, "alpha": [1, 0, 3, 2, 5, 4], "sigma": [5, 2, 1, 4, 3, 0], "root": 4}'
+MAP_3_CSV = (
+    '"{""n_darts"": 6, ""alpha"": [1, 0, 3, 2, 5, 4], ""sigma"": [5, 2, 1, 4, 3, 0], '
+    '""root"": 4}"'
+)
+TREE_STAT_HEADER = (
+    "tree,nodes,leaves,internal_nodes,root_label,single_child_max_nodes,decomposable,primitive\n"
+)
+EXACT_OUTPUTS = [
+    pytest.param("enumerate --object trees --size 3", "", {
+        "text": "(2 (1) (1))\n(1 (1 (1)))\n",
+        "json": '{"tree": "(2 (1) (1))"}\n{"tree": "(1 (1 (1)))"}\n',
+        "csv": "tree\n(2 (1) (1))\n(1 (1 (1)))\n",
+    }, id="enumerate-trees"),
+    pytest.param("enumerate --object maps --size 2", "", {
+        "text": MAP_2 + "\n",
+        "json": MAP_2 + "\n",
+        "csv": "map\n" + MAP_2_CSV + "\n",
+    }, id="enumerate-maps"),
+    pytest.param("enumerate --object perms --size 2", "", {
+        "text": "1 2\n2 1\n",
+        "json": '{"perm": "1 2"}\n{"perm": "2 1"}\n',
+        "csv": "perm\n1 2\n2 1\n",
+    }, id="enumerate-perms"),
+    pytest.param("enumerate --object trees --size 4 --count-only", "", {
+        "text": "6\n",
+        "json": '{"count": 6}\n',
+        "csv": "count\n6\n",
+    }, id="enumerate-count-only"),
+    pytest.param("biject --from tree --to map", "(1 (1))\n", {
+        "text": MAP_2 + "\n",
+        "json": MAP_2 + "\n",
+        "csv": "map\n" + MAP_2_CSV + "\n",
+    }, id="biject-tree-map"),
+    pytest.param("biject --from perm --to tree", "2 1\n", {
+        "text": "(1 (1 (1)))\n",
+        "json": '{"tree": "(1 (1 (1)))"}\n',
+        "csv": "tree\n(1 (1 (1)))\n",
+    }, id="biject-perm-tree"),
+    pytest.param("stats --object tree", "(1 (1))\n", {
+        "text": "tree=(1 (1)) nodes=2 leaves=1 internal_nodes=1 root_label=1 "
+                "single_child_max_nodes=1 decomposable=False primitive=False\n",
+        "json": '{"tree": "(1 (1))", "nodes": 2, "leaves": 1, "internal_nodes": 1, '
+                '"root_label": 1, "single_child_max_nodes": 1, "decomposable": false, '
+                '"primitive": false}\n',
+        "csv": TREE_STAT_HEADER + "(1 (1)),2,1,1,1,1,False,False\n",
+    }, id="stats-tree"),
+    pytest.param("stats --object map", MAP_3 + "\n", {
+        "text": f"map={MAP_3} edges=3 vertices=3 faces=2 root_face_degree=3 "
+                "internal_2faces=0 nonseparable=True multiple_edges=False\n",
+        "json": '{"map": ' + json.dumps(MAP_3) + ', "edges": 3, "vertices": 3, "faces": 2, '
+                '"root_face_degree": 3, "internal_2faces": 0, "nonseparable": true, '
+                '"multiple_edges": false}\n',
+        "csv": "map,edges,vertices,faces,root_face_degree,internal_2faces,nonseparable,"
+               "multiple_edges\n" + MAP_3_CSV + ",3,3,2,3,0,True,False\n",
+    }, id="stats-map"),
+    pytest.param("stats --object perm", "2 1\n", {
+        "text": "perm=2 1 length=2 components=1 lr_maxima=1 m_occurrences=1 "
+                "indecomposable=True in_class=True primitive=False\n",
+        "json": '{"perm": "2 1", "length": 2, "components": 1, "lr_maxima": 1, '
+                '"m_occurrences": 1, "indecomposable": true, "in_class": true, '
+                '"primitive": false}\n',
+        "csv": "perm,length,components,lr_maxima,m_occurrences,indecomposable,in_class,"
+               "primitive\n2 1,2,1,1,1,True,True,False\n",
+    }, id="stats-perm"),
+    pytest.param("stats --object tree", "", {
+        "text": "",
+        "json": "",
+        "csv": TREE_STAT_HEADER,
+    }, id="stats-empty-stdin"),
+    pytest.param("series --name b1 --terms 3", "", {
+        "text": "1\n0\n1\n",
+        "json": '{"n": 1, "coefficient": 1}\n{"n": 2, "coefficient": 0}\n'
+                '{"n": 3, "coefficient": 1}\n',
+        "csv": "n,coefficient,asymptotic,relative_error\n1,1,0.366451883927,0.633548\n"
+               "2,0,0.388680918155,\n3,1,0.634713281491,0.365287\n",
+    }, id="series"),
+    pytest.param("asympt --name a --at 5", "", {
+        "text": "18.1445322032\n",
+        "json": '{"name": "a", "n": 5, "estimate": "18.1445322032"}\n',
+        "csv": "name,n,estimate\na,5,18.1445322032\n",
+    }, id="asympt"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("command, stdin, outputs", EXACT_OUTPUTS)
+def test_exact_output_in_every_format(command, stdin, outputs, fmt, capsys, monkeypatch):
+    'Each subcommand writes exactly these bytes as text, JSON and CSV'
+    code, out, err = run(command.split() + ["--format", fmt], capsys, monkeypatch, stdin)
+    assert (code, err) == (0, "")
+    assert out == outputs[fmt]

@@ -3,6 +3,7 @@ from itertools import combinations
 from mapscope.series import B1, B2, B3, primitive_maps_with_edges, series
 from mapscope.trees import (
     LabeledTree,
+    _subtrees_free_top,
     children_sum,
     count_trees,
     count_trees_by_size,
@@ -251,6 +252,17 @@ def test_every_single_filter_lists_what_it_counts():
     'At 10 nodes the pruned listing of every single filter holds as many trees as the DP counts'
     for spec in FILTER_PREDICATES:
         assert sum(1 for _ in select_trees(10, [spec])) == count_trees(10, [spec]), spec
+
+
+def test_filter_specs_in_any_order_share_one_cache():
+    'One filter set lists the same trees from one subtree cache, whatever the order or repeats of its specs'
+    _subtrees_free_top.cache_clear()
+    first = enumerate_trees(9, ["primitive", "no-only-children"])
+    size = _subtrees_free_top.cache_info().currsize
+    assert size > 0
+    for specs in (["no-only-children", "primitive"], ["primitive", "no-only-children", "primitive"]):
+        assert enumerate_trees(9, specs) == first
+        assert _subtrees_free_top.cache_info().currsize == size
 
 
 def test_count_dp_primitive_matches_binomial_transform():
