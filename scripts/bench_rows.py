@@ -59,6 +59,7 @@ def _library_rows():
 
     return {
         "check_asymptotics()": verify.check_asymptotics,
+        'run_suite("all", 7)': lambda: verify.run_suite("all", 7),
         "p_coefficient(1000)": lambda: series.p_coefficient(1000),
         "primitive_maps_with_edges(1000)": lambda: series.primitive_maps_with_edges(1000),
         'series("P", 240)': lambda: series.series("P", 240),

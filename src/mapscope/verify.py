@@ -6,26 +6,32 @@ the main code paths against it over exhaustive desk-scale ranges.  Reports
 carry witnesses as (object text, expected, actual) triples; a suite fails
 iff it has at least one witness.
 
-Suite registry (name -> default size):
-    counts      tree counts vs the closed form, by edge count (default 9)
-    table1      bijection triangle: map statistics, code distinctness,
-                permutation roundtrip (trees up to 9 nodes)
-    theorem5    M-occurrences = single-child-max nodes = internal 2-faces
-    kfacefree   label predicate vs face oracle for k in {2, 3, 4}
-    bounds      restricted-tree counts vs B-series and the MEF chain
-    primitive   2-face-free map counts vs the substitution identities
-    closure     structural generation vs brute force; insertion closure;
-                reduction termination
-    series      coefficientwise identities to order 30
-    asymptotics first-order estimates vs exact coefficients (no parameter)
+Each suite is a generator of witnesses registered with `_suite`, which
+turns it into the check `check_*` that guards its sizes and builds the report.
+Suite registry (name, parameter = default in its accepted range):
+    counts      n_max = 9 in 1..9: tree counts vs the closed form, by edges
+    table1      n_max = 9 in 1..10: bijection triangle -- map statistics,
+                code distinctness, permutation roundtrip
+    theorem5    n_max = 9 in 1..10: M-occurrences = single-child-max nodes
+                = internal 2-faces
+    kfacefree   n_max = 9 in 1..10: label predicate vs face oracle, k = 2..4
+    bounds      n_max = 8 in 2..10, coeff_nodes = 12 in 1..13: restricted-tree
+                counts vs B-series and the MEF chain
+    primitive   n_max = 10 in 2..10: 2-face-free map counts vs the
+                substitution identities
+    closure     n_max = 8 in 1..8: structural generation vs brute force;
+                insertion closure; reduction termination
+    series      order = 30 in 1..30: coefficientwise series identities
+    asymptotics no parameter: first-order estimates vs exact coefficients
 """
 
 from __future__ import annotations
 
+import inspect
 import os
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations, permutations
 
 import mpmath
@@ -99,20 +105,12 @@ _WITNESS_CAP = 20
 class VerificationReport:
     suite: str
     params: dict
-    status: str  # "pass" | "fail"
     witnesses: tuple[tuple[str, str, str], ...]
     runtime: float
 
-
-def _finish(suite: str, params: dict, witnesses: list, start: float) -> VerificationReport:
-    status = "fail" if witnesses else "pass"
-    return VerificationReport(
-        suite=suite,
-        params=params,
-        status=status,
-        witnesses=tuple(witnesses[:_WITNESS_CAP]),
-        runtime=time.perf_counter() - start,
-    )
+    @property
+    def status(self) -> str:
+        return "fail" if self.witnesses else "pass"
 
 
 def report_to_dict(r: VerificationReport) -> dict:
@@ -292,24 +290,56 @@ def _oracle_nonseparable(m: CombinatorialMap) -> bool:
 # Suites
 # ---------------------------------------------------------------------------
 
+_SUITES: dict = {}  # name -> (check function, {parameter: default})
 
-def check_counts(n_max: int = 9) -> VerificationReport:
+
+def _suite(name: str, **bounds: tuple[int, int]):
+    """Register a witness generator as the check of suite `name`.
+
+    The generator yields (object, expected, actual) triples.  The check it
+    becomes keeps its name, parameters and defaults; it rejects a parameter
+    outside its (lo, hi) bound before any work, times the generator, and
+    reports the first _WITNESS_CAP of its witnesses.
+    """
+
+    def register(gen):
+        signature = inspect.signature(gen)
+        defaults = {k: p.default for k, p in signature.parameters.items()}
+
+        @wraps(gen)
+        def run(*args, **kwargs) -> VerificationReport:
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            params = bound.arguments
+            for param, (lo, hi) in bounds.items():
+                if not lo <= params[param] <= hi:
+                    raise ValueError(
+                        f"{name}: {param} is guarded to {lo}..{hi}, got {params[param]}"
+                    )
+            start = time.perf_counter()
+            witnesses = tuple(gen(**params))
+            return VerificationReport(
+                name, params, witnesses[:_WITNESS_CAP], time.perf_counter() - start
+            )
+
+        _SUITES[name] = (run, defaults)
+        return run
+
+    return register
+
+
+@_suite("counts", n_max=(1, 9))
+def check_counts(n_max: int = 9):
     """Enumerated tree counts vs 4(3n)!/(n!(2n+2)!) for n = 1..n_max edges."""
-    if not 1 <= n_max <= 9:
-        raise ValueError("n_max is guarded to 1..9 (trees up to 10 nodes)")
-    start = time.perf_counter()
-    witnesses = []
     for n in range(1, n_max + 1):
         enumerated = len(enumerate_trees(n + 1))
         expected = tutte_count(n)
         if enumerated != expected:
-            witnesses.append(
-                (f"trees with {n + 1} nodes", str(expected), str(enumerated))
-            )
-    return _finish("counts", {"n_max": n_max}, witnesses, start)
+            yield (f"trees with {n + 1} nodes", str(expected), str(enumerated))
 
 
-def check_table1(n_max: int = 9) -> VerificationReport:
+@_suite("table1", n_max=(1, 10))
+def check_table1(n_max: int = 9):
     """The bijection triangle on all trees with up to n_max nodes.
 
     Checks, per tree: the four statistic equalities of the tree->map
@@ -319,10 +349,6 @@ def check_table1(n_max: int = 9) -> VerificationReport:
     vertex deletion; tree -> permutation -> tree is the identity; canonical
     map codes are pairwise distinct within each size.
     """
-    if not 1 <= n_max <= 10:
-        raise ValueError("n_max is guarded to 1..10 nodes")
-    start = time.perf_counter()
-    witnesses = []
     for size in range(1, n_max + 1):
         codes = set()
         trees = enumerate_trees(size)
@@ -332,7 +358,7 @@ def check_table1(n_max: int = 9) -> VerificationReport:
             m = tree_to_map(t)
             msg = validate_map(m)
             if msg != "ok":
-                witnesses.append((label, "valid map", msg))
+                yield (label, "valid map", msg)
                 continue
             degrees, root_degree = _oracle_faces(m)
             n_vertices = max(_oracle_vertex_of(m)) + 1
@@ -344,32 +370,26 @@ def check_table1(n_max: int = 9) -> VerificationReport:
             )
             for what, got, want in checks:
                 if got != want:
-                    witnesses.append((f"{label} [{what}]", str(want), str(got)))
+                    yield (f"{label} [{what}]", str(want), str(got))
             if size <= 7 and not _oracle_nonseparable(m):
-                witnesses.append((label, "nonseparable map", "cut vertex or loop"))
+                yield (label, "nonseparable map", "cut vertex or loop")
             codes.add(canonical_code(m))
             pi = tree_to_perm(t)
             if len(pi) != st.nodes - 1:
-                witnesses.append(
-                    (label, f"permutation length {st.nodes - 1}", str(len(pi)))
-                )
+                yield (label, f"permutation length {st.nodes - 1}", str(len(pi)))
             back = perm_to_tree(pi)
             if back != t:
-                witnesses.append(
-                    (label, "tree -> perm -> tree identity", format_tree(back))
-                )
+                yield (label, "tree -> perm -> tree identity", format_tree(back))
         if len(codes) != len(trees):
-            witnesses.append(
-                (
-                    f"distinct canonical codes at {size} nodes",
-                    str(len(trees)),
-                    str(len(codes)),
-                )
+            yield (
+                f"distinct canonical codes at {size} nodes",
+                str(len(trees)),
+                str(len(codes)),
             )
-    return _finish("table1", {"n_max": n_max}, witnesses, start)
 
 
-def check_theorem5(n_max: int = 9) -> VerificationReport:
+@_suite("theorem5", n_max=(1, 10))
+def check_theorem5(n_max: int = 9):
     """M-occurrences = single-child-max nodes = internal 2-faces, per tree.
 
     The map leg always agrees with the tree leg (that pairing is the table1
@@ -385,10 +405,6 @@ def check_theorem5(n_max: int = 9) -> VerificationReport:
     avoiding M and N vs 2-face-free maps) inherits the same defect and is
     reported alongside.
     """
-    if not 1 <= n_max <= 10:
-        raise ValueError("n_max is guarded to 1..10 nodes")
-    start = time.perf_counter()
-    witnesses = []
     mismatches = 0
     free = [0] * (n_max + 1)  # trees per size whose map has no face of degree 2
     for size in range(1, n_max + 1):
@@ -400,17 +416,13 @@ def check_theorem5(n_max: int = 9) -> VerificationReport:
             free[size] += 2 not in degrees
             if not a == b == c:
                 mismatches += 1
-                if len(witnesses) < _WITNESS_CAP - 5:
-                    witnesses.append(
-                        (format_tree(t), "equal triple", f"M={a}, tree={b}, faces={c}")
-                    )
+                if mismatches <= _WITNESS_CAP - 5:
+                    yield (format_tree(t), "equal triple", f"M={a}, tree={b}, faces={c}")
     if mismatches:
-        witnesses.append(
-            (
-                f"triple equality over trees with <= {n_max} nodes",
-                "0 mismatches",
-                f"{mismatches} mismatches",
-            )
+        yield (
+            f"triple equality over trees with <= {n_max} nodes",
+            "0 mismatches",
+            f"{mismatches} mismatches",
         )
     for n in range(1, n_max):
         avoiders = sum(
@@ -419,22 +431,16 @@ def check_theorem5(n_max: int = 9) -> VerificationReport:
             if occurrences(M, pi) == 0 and occurrences(N, pi) == 0
         )
         if avoiders != free[n + 1]:
-            witnesses.append(
-                (
-                    f"members of length {n} avoiding M and N",
-                    f"{free[n + 1]} (2-face-free maps on {n + 1} edges)",
-                    str(avoiders),
-                )
+            yield (
+                f"members of length {n} avoiding M and N",
+                f"{free[n + 1]} (2-face-free maps on {n + 1} edges)",
+                str(avoiders),
             )
-    return _finish("theorem5", {"n_max": n_max}, witnesses, start)
 
 
-def check_kfacefree(n_max: int = 9) -> VerificationReport:
+@_suite("kfacefree", n_max=(1, 10))
+def check_kfacefree(n_max: int = 9):
     """Label predicate vs direct face computation, k in {2, 3, 4}."""
-    if not 1 <= n_max <= 10:
-        raise ValueError("n_max is guarded to 1..10 nodes")
-    start = time.perf_counter()
-    witnesses = []
     for size in range(1, n_max + 1):
         for t in enumerate_trees(size):
             m = tree_to_map(t)
@@ -443,17 +449,11 @@ def check_kfacefree(n_max: int = 9) -> VerificationReport:
                 oracle = all(d != k for d in degrees)
                 predicate = is_k_face_free_tree(t, k)
                 if predicate != oracle:
-                    witnesses.append(
-                        (
-                            f"{format_tree(t)} [k={k}]",
-                            str(oracle),
-                            str(predicate),
-                        )
-                    )
-    return _finish("kfacefree", {"n_max": n_max}, witnesses, start)
+                    yield (f"{format_tree(t)} [k={k}]", str(oracle), str(predicate))
 
 
-def check_bounds(n_max: int = 8, coeff_nodes: int = 12) -> VerificationReport:
+@_suite("bounds", n_max=(2, 10), coeff_nodes=(1, 13))
+def check_bounds(n_max: int = 8, coeff_nodes: int = 12):
     """Restricted-tree counts vs B-series coefficients, and the MEF chain.
 
     For m up to coeff_nodes: [x^m] of B1/B2/B3 equals the number of trees on
@@ -461,20 +461,12 @@ def check_bounds(n_max: int = 8, coeff_nodes: int = 12) -> VerificationReport:
     2 <= m <= n_max edges: capped count <= multiple-edge-free map count <=
     2-face-free map count, each side enumerated independently.
     """
-    if not 2 <= n_max <= 10:
-        raise ValueError("n_max is guarded to 2..10 edges")
-    if not 1 <= coeff_nodes <= 13:
-        raise ValueError("coeff_nodes is guarded to 1..13")
-    start = time.perf_counter()
-    witnesses = []
     for name, cap in ((B1, 1), (B2, 2), (B3, 3)):
         ser = series(name, coeff_nodes)
         for m in range(1, coeff_nodes + 1):
             counted = len(enumerate_trees(m, (f"labels-max={cap}", "no-only-children")))
             if ser[m] != counted:
-                witnesses.append(
-                    (f"[x^{m}] {name} vs cap-{cap} trees", str(counted), str(ser[m]))
-                )
+                yield (f"[x^{m}] {name} vs cap-{cap} trees", str(counted), str(ser[m]))
     for m in range(2, n_max + 1):
         cap3 = len(enumerate_trees(m, ("labels-max=3", "no-only-children")))
         mef = 0
@@ -487,19 +479,15 @@ def check_bounds(n_max: int = 8, coeff_nodes: int = 12) -> VerificationReport:
             if all(d != 2 for d in degrees):
                 two_face_free += 1
         if not cap3 <= mef <= two_face_free:
-            witnesses.append(
-                (
-                    f"chain at {m} edges",
-                    "cap3 <= MEF <= 2-face-free",
-                    f"{cap3} <= {mef} <= {two_face_free} fails",
-                )
+            yield (
+                f"chain at {m} edges",
+                "cap3 <= MEF <= 2-face-free",
+                f"{cap3} <= {mef} <= {two_face_free} fails",
             )
-    return _finish(
-        "bounds", {"n_max": n_max, "coeff_nodes": coeff_nodes}, witnesses, start
-    )
 
 
-def check_primitive_series(n_max: int = 10) -> VerificationReport:
+@_suite("primitive", n_max=(2, 10))
+def check_primitive_series(n_max: int = 10):
     """2-face-free ("primitive") map counts vs the substitution identities.
 
     Enumerates p_m (maps on m edges with no internal 2-face) directly via the
@@ -507,10 +495,6 @@ def check_primitive_series(n_max: int = 10) -> VerificationReport:
     the exact convention-free identity M(x) = P_M(x/(1-x)) to order n_max,
     and that `primitive_maps_with_edges` reproduces the enumeration.
     """
-    if not 2 <= n_max <= 10:
-        raise ValueError("n_max is guarded to 2..10 edges")
-    start = time.perf_counter()
-    witnesses = []
     p_counts = [0] * (n_max + 1)
     m_counts = [0] * (n_max + 1)
     for m in range(1, n_max + 1):
@@ -524,31 +508,25 @@ def check_primitive_series(n_max: int = 10) -> VerificationReport:
         lhs = p_series[n]
         rhs = p_counts[n + 1] + p_counts[n]
         if lhs != rhs:
-            witnesses.append(
-                (f"[x^{n}] A(x/(1+x)) = p_{n + 1} + p_{n}", str(rhs), str(lhs))
-            )
+            yield (f"[x^{n}] A(x/(1+x)) = p_{n + 1} + p_{n}", str(rhs), str(lhs))
     m_poly = RationalSeries.poly([0] + m_counts[1:], n_max)
     pm_poly = RationalSeries.poly([0] + p_counts[1:], n_max)
     sub = RationalSeries.x(n_max) / RationalSeries.poly([1, -1], n_max)
     composed = compose(pm_poly, sub)
     if composed != m_poly:
-        witnesses.append(
-            (
-                "M(x) = P_M(x/(1-x)) to order " + str(n_max),
-                str([str(c) for c in m_poly.coeffs]),
-                str([str(c) for c in composed.coeffs]),
-            )
+        yield (
+            "M(x) = P_M(x/(1-x)) to order " + str(n_max),
+            str([str(c) for c in m_poly.coeffs]),
+            str([str(c) for c in composed.coeffs]),
         )
     for m in range(1, n_max + 1):
         derived = primitive_maps_with_edges(m)
         if derived != p_counts[m]:
-            witnesses.append(
-                (f"primitive_maps_with_edges({m})", str(p_counts[m]), str(derived))
-            )
-    return _finish("primitive", {"n_max": n_max}, witnesses, start)
+            yield (f"primitive_maps_with_edges({m})", str(p_counts[m]), str(derived))
 
 
-def check_closure(n_max: int = 8) -> VerificationReport:
+@_suite("closure", n_max=(1, 8))
+def check_closure(n_max: int = 8):
     """Structural generation vs brute force; insertion closure; reduction.
 
     generate_av(n) is compared with the n!-filter for n <= n_max; one-step
@@ -557,10 +535,6 @@ def check_closure(n_max: int = 8) -> VerificationReport:
     alone; reduce_to_primitive terminates in an M-free class member on all of
     Av(n_c).
     """
-    if not 1 <= n_max <= 8:
-        raise ValueError("n_max is guarded to 1..8")
-    start = time.perf_counter()
-    witnesses = []
     av: dict[int, list[Permutation]] = {}
     for n in range(n_max + 1):
         structural = generate_av(n)
@@ -569,13 +543,11 @@ def check_closure(n_max: int = 8) -> VerificationReport:
         if structural != sorted(brute):
             missing = set(brute) - set(structural)
             extra = set(structural) - set(brute)
-            witnesses.append(
-                (
-                    f"Av({n})",
-                    f"{len(brute)} members",
-                    f"{len(structural)} members"
-                    f" (missing {len(missing)}, extra {len(extra)})",
-                )
+            yield (
+                f"Av({n})",
+                f"{len(brute)} members",
+                f"{len(structural)} members"
+                f" (missing {len(missing)}, extra {len(extra)})",
             )
     n_c = min(n_max - 1, 7)
     reached: dict[int, set[Permutation]] = {
@@ -588,63 +560,53 @@ def check_closure(n_max: int = 8) -> VerificationReport:
     for m in range(1, n_c + 1):
         if reached[m] != set(av[m]):
             missing = set(av[m]) - reached[m]
-            witnesses.append(
-                (
-                    f"insertion closure at length {m}",
-                    f"{len(av[m])} members",
-                    f"{len(reached[m])} reached"
-                    + (f"; e.g. missing {sorted(missing)[0]}" if missing else ""),
-                )
+            yield (
+                f"insertion closure at length {m}",
+                f"{len(av[m])} members",
+                f"{len(reached[m])} reached"
+                + (f"; e.g. missing {sorted(missing)[0]}" if missing else ""),
             )
     for pi in av[n_c]:
         reduced = reduce_to_primitive(pi)
         if occurrences(M, reduced) != 0 or not in_class(reduced):
-            witnesses.append(
-                (f"reduction of {pi}", "M-free class member", str(reduced))
-            )
-    return _finish("closure", {"n_max": n_max}, witnesses, start)
+            yield (f"reduction of {pi}", "M-free class member", str(reduced))
 
 
-def check_series_identities(order: int = 30) -> VerificationReport:
+@_suite("series", order=(1, 30))
+def check_series_identities(order: int = 30):
     """Coefficientwise identities among the named series.
 
     The three A routes agree; B2's closed form solves its equation; B3's
     first ten coefficients are 1, 0, 1, 1, 5, 13, 48, 160, 578, 2078; PPRIME
     is (1-x)P and the binomial sum gives P, for P = A(x/(1+x)) by `compose`.
     """
-    if not 1 <= order <= 30:
-        raise ValueError("order is guarded to 1..30")
-    start = time.perf_counter()
-    witnesses = []
     a_formula = series(A_FORMULA, order)
     a_zeil = series(A_ZEIL, order)
     a_hyp = series(A_HYP, order)
     if a_zeil != a_formula:
-        witnesses.append(("A via cubic", "closed-form coefficients", "differs"))
+        yield ("A via cubic", "closed-form coefficients", "differs")
     if a_hyp != a_formula:
-        witnesses.append(("A via hypergeometric", "closed-form coefficients", "differs"))
+        yield ("A via hypergeometric", "closed-form coefficients", "differs")
     if b2_closed_form(order) != solve_equation(B2_EQUATION, order):
-        witnesses.append(("B2 closed form", "equation solution", "differs"))
+        yield ("B2 closed form", "equation solution", "differs")
     b3 = series(B3, order)
     printed = (1, 0, 1, 1, 5, 13, 48, 160, 578, 2078)[:order]
     got = tuple(int(b3[i]) for i in range(1, len(printed) + 1))
     if got != printed:
-        witnesses.append((f"B3 x^1..x^{len(printed)}", str(printed), str(got)))
+        yield (f"B3 x^1..x^{len(printed)}", str(printed), str(got))
     sub = RationalSeries.x(order) / RationalSeries.poly([1, 1], order)
     p_ser = compose(a_formula, sub)
     pprime_ser = series(PPRIME, order)
     expected_pprime = RationalSeries.poly([1, -1], order) * p_ser
     if pprime_ser != expected_pprime:
-        witnesses.append(("PPRIME", "(1-x) P", "differs"))
+        yield ("PPRIME", "(1-x) P", "differs")
     for n in range(order + 1):
         if p_coefficient(n) != p_ser[n]:
-            witnesses.append(
-                (f"binomial sum [x^{n}] P", str(p_ser[n]), str(p_coefficient(n)))
-            )
-    return _finish("series", {"order": order}, witnesses, start)
+            yield (f"binomial sum [x^{n}] P", str(p_ser[n]), str(p_coefficient(n)))
 
 
-def check_asymptotics() -> VerificationReport:
+@_suite("asymptotics")
+def check_asymptotics():
     """First-order estimates vs exact coefficients, and the quartic constants.
 
     Advertised tolerances: B1 and B2 within 0.1% at n = 1000, B3 within
@@ -656,8 +618,6 @@ def check_asymptotics() -> VerificationReport:
     PPRIME carries the wrong power of n), so those checks fail; the
     witnesses document the measured errors.
     """
-    start = time.perf_counter()
-    witnesses = []
 
     def rel_error(name: str, n: int) -> float:
         est = asymptotic(name, n)
@@ -675,19 +635,15 @@ def check_asymptotics() -> VerificationReport:
     for name, n, tol in spot_checks:
         err = rel_error(name, n)
         if err > tol:
-            witnesses.append(
-                (f"{name} estimate at n={n}", f"relative error <= {tol}", f"{err:.4g}")
-            )
+            yield (f"{name} estimate at n={n}", f"relative error <= {tol}", f"{err:.4g}")
     grid = (50, 100, 200, 400, 800)
     for name in ("A", P, PPRIME, B1, B2, B3):
         errs = [rel_error(name, n) for n in grid]
         if not all(b < a for a, b in zip(errs, errs[1:])):
-            witnesses.append(
-                (
-                    f"{name} error over n={grid}",
-                    "monotonically shrinking",
-                    "[" + ", ".join(f"{e:.4g}" for e in errs) + "]",
-                )
+            yield (
+                f"{name} error over n={grid}",
+                "monotonically shrinking",
+                "[" + ", ".join(f"{e:.4g}" for e in errs) + "]",
             )
     est = b3_singularity()
     for label, value, printed in (
@@ -696,25 +652,12 @@ def check_asymptotics() -> VerificationReport:
         ("gamma", est.gamma, "0.12347"),
     ):
         if abs(value - mpmath.mpf(printed)) > mpmath.mpf("0.5e-5"):
-            witnesses.append((label, printed, mpmath.nstr(value, 8)))
-    return _finish("asymptotics", {}, witnesses, start)
+            yield (label, printed, mpmath.nstr(value, 8))
 
 
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
-
-_SUITES = {
-    "counts": (check_counts, {"n_max": 9}),
-    "table1": (check_table1, {"n_max": 9}),
-    "theorem5": (check_theorem5, {"n_max": 9}),
-    "kfacefree": (check_kfacefree, {"n_max": 9}),
-    "bounds": (check_bounds, {"n_max": 8, "coeff_nodes": 12}),
-    "primitive": (check_primitive_series, {"n_max": 10}),
-    "closure": (check_closure, {"n_max": 8}),
-    "series": (check_series_identities, {"order": 30}),
-    "asymptotics": (check_asymptotics, {}),
-}
 
 SUITE_NAMES = tuple(_SUITES) + ("all",)
 

@@ -318,6 +318,22 @@ def test_verify_json(capsys):
     assert report["witnesses"] == []
 
 
+@pytest.mark.parametrize(
+    "max_size, message",
+    [
+        ("1", "mapscope: bounds: n_max is guarded to 2..10, got 1\n"),
+        ("0", "mapscope: counts: n_max is guarded to 1..9, got 0\n"),
+    ],
+    ids=["bounds", "counts"],
+)
+def test_verify_size_diagnostic_names_the_suite(max_size, message, capsys):
+    'A --max-size below a suite\'s range exits 2 naming that suite, with no report'
+    code, out, err = run(["verify", "--suite", "all", "--max-size", max_size], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == message
+
+
 def test_missing_subcommand(capsys):
     'argparse rejects an empty command line'
     with pytest.raises(SystemExit) as exc:

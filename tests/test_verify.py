@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from mapscope import verify
 from mapscope.perms import INS1, INS2, M, M_PRIME, N, generate_av, occurrences
 from mapscope.verify import (
     SUITE_NAMES,
@@ -81,6 +82,50 @@ def test_theorem5_guard():
     'Sizes beyond the brute-force budget are rejected'
     with pytest.raises(ValueError):
         check_theorem5(11)
+
+
+# suite -> {parameter: (default, lo, hi)}: the sizes each suite accepts.
+SUITE_SIZES = {
+    "counts": {"n_max": (9, 1, 9)},
+    "table1": {"n_max": (9, 1, 10)},
+    "theorem5": {"n_max": (9, 1, 10)},
+    "kfacefree": {"n_max": (9, 1, 10)},
+    "bounds": {"n_max": (8, 2, 10), "coeff_nodes": (12, 1, 13)},
+    "primitive": {"n_max": (10, 2, 10)},
+    "closure": {"n_max": (8, 1, 8)},
+    "series": {"order": (30, 1, 30)},
+    "asymptotics": {},
+}
+
+
+def test_suite_defaults():
+    'Every suite registers the defaults of its signature'
+    assert {name: defaults for name, (_, defaults) in verify._SUITES.items()} == {
+        name: {k: default for k, (default, _, _) in sizes.items()}
+        for name, sizes in SUITE_SIZES.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "suite, param, value, lo, hi",
+    [
+        (suite, param, value, lo, hi)
+        for suite, sizes in SUITE_SIZES.items()
+        for param, (_, lo, hi) in sizes.items()
+        for value in (lo - 1, hi + 1)
+    ],
+)
+def test_suite_guards(suite, param, value, lo, hi, monkeypatch):
+    'A size outside its range is refused, naming the suite, before any work'
+    def no_work(*args, **kwargs):
+        pytest.fail(f"{suite} started work before its guard")
+
+    for name in ("enumerate_trees", "series", "generate_av", "tutte_count"):
+        monkeypatch.setattr(verify, name, no_work)
+    check, defaults = verify._SUITES[suite]
+    with pytest.raises(ValueError) as exc:
+        check(**{**defaults, param: value})
+    assert str(exc.value) == f"{suite}: {param} is guarded to {lo}..{hi}, got {value}"
 
 
 def test_brute_force_av_small():
