@@ -1,6 +1,6 @@
 """Time the rows of the perf record; median of REPEAT runs.
 
-    python scripts/bench_rows.py LABEL=SRC [LABEL=SRC ...]
+    python scripts/bench_rows.py [--skip ROW ...] LABEL=SRC [LABEL=SRC ...]
 
 Each SRC is a directory that holds the `mapscope` package (a checkout's
 `src`).  Each repeat times every row once per label, each label in a fresh
@@ -12,7 +12,8 @@ cleared before each run, so each run pays what a cold process pays.  The
 per-object rows (map stats lines, tree -> perm -> tree and tree text round
 trips, the deep member's rows) time only the calls: their inputs are built
 once, before any row.  The CLI rows run `python -m mapscope.cli` as a
-subprocess, interpreter start-up included.
+subprocess, interpreter start-up included.  `--skip ROW` (repeatable)
+leaves out the row of that name, e.g. one a tree is too slow to run.
 Prints one JSON document: a machine header, then per label and row the
 median and every run, in seconds.  Standard library only.
 """
@@ -67,6 +68,10 @@ def _library_rows():
         'series("B1", 1000)': lambda: series.series("B1", 1000),
         'series("B2", 1000)': lambda: series.series("B2", 1000),
         'series("B3", 800)': lambda: series.series("B3", 800),
+        'series("B3", 10000)': lambda: series.series("B3", 10000),
+        "solve_equation(B3_EQUATION, 800)": lambda: series.solve_equation(
+            series.B3_EQUATION, 800
+        ),
         'series("A_ZEIL", 800)': lambda: series.series("A_ZEIL", 800),
         "solve_equation(B3_EQUATION, 201)": lambda: series.solve_equation(
             series.B3_EQUATION, 201
@@ -92,12 +97,14 @@ def _library_rows():
     ]
 
 
-def _time_rows(src: str) -> dict[str, float]:
-    """Seconds of one run of every row."""
+def _time_rows(src: str, skip: list[str]) -> dict[str, float]:
+    """Seconds of one run of every row not in `skip`."""
     sys.path.insert(0, src)
     rows, caches = _library_rows()
     out = {}
     for name, fn in rows.items():
+        if name in skip:
+            continue
         for cache in caches:
             cache.cache_clear()
         start = time.perf_counter()
@@ -105,6 +112,8 @@ def _time_rows(src: str) -> dict[str, float]:
         out[name] = time.perf_counter() - start
     env = {**os.environ, "PYTHONPATH": src}
     for args in CLI_ROWS:
+        if "mapscope " + " ".join(args) in skip:
+            continue
         start = time.perf_counter()
         subprocess.run(
             [sys.executable, "-m", "mapscope.cli", *args],
@@ -135,10 +144,12 @@ def _machine() -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--worker", help=argparse.SUPPRESS)
+    parser.add_argument("--skip", action="append", default=[], metavar="ROW",
+                        help="leave out the row of this name")
     parser.add_argument("trees", nargs="*", metavar="LABEL=SRC")
     args = parser.parse_args(argv)
     if args.worker:
-        json.dump(_time_rows(args.worker), sys.stdout)
+        json.dump(_time_rows(args.worker, args.skip), sys.stdout)
         return 0
     if not args.trees or any("=" not in t for t in args.trees):
         parser.error("give at least one LABEL=SRC")
@@ -147,7 +158,8 @@ def main(argv=None) -> int:
     for repeat in range(REPEAT):
         for label, src in trees if repeat % 2 == 0 else trees[::-1]:
             done = subprocess.run(
-                [sys.executable, __file__, "--worker", os.path.abspath(src)],
+                [sys.executable, __file__, "--worker", os.path.abspath(src),
+                 *(f"--skip={row}" for row in args.skip)],
                 capture_output=True,
                 text=True,
                 check=True,

@@ -30,9 +30,6 @@ __all__ = [
     "parse_map",
     "format_map",
     "vertex_orbits",
-    "SINGLE_EDGE_MAP",
-    "FOUR_EDGE_MAPS",
-    "DOUBLED_EDGE_NO_2FACE_MAP",
 ]
 
 
@@ -309,50 +306,3 @@ def parse_map(text: str) -> CombinatorialMap:
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ValueError(f"malformed map record: {exc}") from None
     return CombinatorialMap(*fields)  # raises "invalid map: ..." for a bad rotation system
-
-
-# ---------------------------------------------------------------------------
-# Hand-encoded fixtures (rotations read off the standard drawings)
-# ---------------------------------------------------------------------------
-
-SINGLE_EDGE_MAP = CombinatorialMap(2, (1, 0), (0, 1), 0)
-
-# The six rooted non-separable maps on four edges, in the conventional order
-# matching the six four-node trees.  Darts 2i, 2i+1 belong to edge i.
-FOUR_EDGE_MAPS = (
-    # four parallel edges on two vertices, rooted at the topmost edge
-    CombinatorialMap(
-        8, (1, 0, 3, 2, 5, 4, 7, 6), (2, 5, 6, 1, 0, 7, 4, 3), 3
-    ),
-    # theta-like: top arc, middle path, bottom root arc
-    CombinatorialMap(
-        8, (1, 0, 3, 2, 5, 4, 7, 6), (6, 5, 0, 4, 3, 7, 2, 1), 6
-    ),
-    # path plus spanning top arc, rooted at the lower right arc
-    CombinatorialMap(
-        8, (1, 0, 3, 2, 5, 4, 7, 6), (5, 6, 1, 7, 3, 0, 2, 4), 6
-    ),
-    # path plus doubled right edge, rooted at the spanning top arc
-    CombinatorialMap(
-        8, (1, 0, 3, 2, 5, 4, 7, 6), (7, 4, 1, 5, 2, 6, 3, 0), 6
-    ),
-    # path plus doubled left edge, rooted at the spanning top arc
-    CombinatorialMap(
-        8, (1, 0, 3, 2, 5, 4, 7, 6), (2, 4, 7, 1, 3, 6, 5, 0), 6
-    ),
-    # the 4-cycle, rooted at the spanning top arc
-    CombinatorialMap(
-        8, (1, 0, 3, 2, 5, 4, 7, 6), (7, 2, 1, 4, 3, 6, 5, 0), 6
-    ),
-)
-
-# Six-edge 2-face-free map with a doubled edge: vertices L, M, R, T; edges
-# e1 = upper L-R arc, e2 = L-M, e3 = M-R, e4 = R-T (root), e5 = T-L,
-# e6 = lower L-R arc.  Darts 2i, 2i+1 belong to edge i+1, first dart at the
-# first-named endpoint.
-DOUBLED_EDGE_NO_2FACE_MAP = CombinatorialMap(
-    12,
-    (1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10),
-    (9, 5, 0, 4, 3, 11, 1, 8, 7, 10, 2, 6),
-    6,
-)

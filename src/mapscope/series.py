@@ -27,8 +27,11 @@ Named series (`series(name, N)`):
 * B2        -- (1+3x+4x^2-sqrt(1-2x-7x^2))/(4+8x) (labels <= 2), the
   solution of a quadratic functional equation; each square root costs O(N)
   through the recurrence of f s' = f' s / 2 (`sqrt_series`);
-* B3        -- quartic functional equation (labels <= 3), seed y(0) = 0,
-  about N^2 big-int products to order N.
+* B3        -- root of a quartic functional equation (labels <= 3) with
+  y(0) = 0, read off the P-recurrence of the quartic's order-4 linear ODE
+  (`_B3_RECURRENCE`): O(1) big-int by small-int products per coefficient.
+  `solve_equation(B3_EQUATION, N)` is the independent route, about N^2
+  big-int products to order N.
 """
 
 from __future__ import annotations
@@ -298,6 +301,54 @@ B3_EQUATION = EquationSpec.make(
     0,
 )
 
+# B3's coefficients satisfy sum_s c_s(n) y_(n+s) = 0 for every n: the
+# P-recurrence of the order-4 linear ODE that the quartic implies.  The rows
+# run over s = -36..2, each c_s's coefficients highest power of n first;
+# c_2(n) = -2187 (n+1)(n+2)(n+3)(n+4) vanishes at no n >= 1.  Derived and
+# checked against `solve_equation` by
+#     PYTHONPATH=src python scripts/derive_b3_recurrence.py
+_B3_RECURRENCE = (
+    (3487629312, -481292845056, 24898185658368, -572257192771584, 4930531310960640),
+    (19168026624, -2555450892288, 127687390322688, -2834010721935360, 23574259176652800),
+    (-30684220416, 3940489451520, -189652177695744, 4054434936219648, -32485439443894272),
+    (-166805927424, 20827914068736, -974639458331136, 20257843508944128, -157800561304117248),
+    (-40890132864, 4828251197952, -213582693648960, 4195397803656384, -30879844885208448),
+    (366082449408, -42891359919552, 1882452987201888, -36678135768746976, 267676411777253568),
+    (393794086608, -44527274774784, 1887186314705688, -35533696089606696, 250806254952763872),
+    (-8422223720, -312058210004, 69858923760260, -2441275699119424, 25613062613630784),
+    (-400733756950, 41465705094156, -1602980535520802, 27426604897402236, -175149916245394416),
+    (-734526371910, 79088634294100, -3195742804263258, 57433132339166204, -387340633575167040),
+    (-540721883508, 58428640569272, -2363735038197240, 42434062190335996, -285242507210924160),
+    (433581101748, -44358221283876, 1697697327986952, -28815449332357488, 183056272643786832),
+    (1055847547580, -104990968635924, 3904903299615952, -64397296561779408, 397397971382039472),
+    (616894426124, -56259635139020, 1925458784343592, -29308932379144000, 167411596141784856),
+    (-161751002177, 19177619528238, -787830900873595, 13709964822159750, -86623122433366728),
+    (-579577653599, 51125756623242, -1682252149528909, 24485692037789898, -133084044277326072),
+    (-514267103197, 38951003866574, -1103905446070439, 13871961181658350, -65201112742656240),
+    (-182246666267, 11257701806558, -249864930108229, 2303902998671194, -7038303372987480),
+    (81524208651, -6440259955986, 187244682917373, -2382195947646486, 11214840152308848),
+    (245009929284, -15987672023296, 389644882140816, -4201766950557620, 16908080333529576),
+    (317495815153, -19417122789334, 444648954351431, -4518304660991594, 17188634099645664),
+    (118705341566, -6792215918264, 145961466898462, -1396549438915660, 5020917677566152),
+    (-183966320389, 9840488348866, -196997925822827, 1748633242916366, -5805058147273896),
+    (-202337989625, 10042509459294, -186739930891279, 1541358897386274, -4763612129168736),
+    (-3588857796, 226696732216, -5011700709288, 46951873944236, -159235992560376),
+    (89524474378, -3676109672932, 56490282729962, -384936196940168, 981211820522616),
+    (36784169182, -1380288579024, 19395271574810, -120869325328056, 281698858162512),
+    (-13871772931, 457278638158, -5621378672825, 30551745384686, -61953915634056),
+    (-13812430627, 408422868374, -4505778507101, 21967618443130, -39915779032680),
+    (-1693929235, 45591629706, -456039898769, 2004217374138, -3260383424856),
+    (1505152499, -32214016010, 255719371633, -891773212858, 1151921143176),
+    (500469432, -9187084092, 61990131852, -181605615384, 194440183704),
+    (-38569287, 437508630, -1770962865, 3034090170, -1855771776),
+    (-34888290, 372516252, -1396330410, 2102245680, -1043006688),
+    (-844227, 19730610, -65375901, 46610046, -209952),
+    (1261953, -1259874, -1867941, 688878, 34992),
+    (60156, 3024, -250992, 128196, 322056),
+    (-27216, -163296, -299376, -163296, 0),
+    (-2187, -21870, -76545, -109350, -52488),
+)
+
 
 def _online_solution(spec: EquationSpec, order: int, qy0) -> list:
     """[y_0, ..., y_order]; powers[j][k] holds [x^k] y^j.
@@ -346,6 +397,33 @@ def solve_equation(spec: EquationSpec, order: int) -> RationalSeries:
     if any(residual):
         raise AssertionError("functional equation residual is nonzero")
     return y
+
+
+def _p_recurrence(table, seed: list[int], order: int) -> list[int]:
+    """[y_0, ..., y_order] of sum_s c_s(n) y_(n+s) = 0 (n >= 1, y_m = 0 for m < 0).
+
+    table holds the rows c_s for s = h + 1 - len(table) .. h, h = len(seed) - 1,
+    each c_s's integer coefficients highest power of n first.  Step n
+    evaluates every c_s(n) by Horner's rule and divides by c_h(n) to get
+    y_(n+h); a nonzero remainder means a corrupt table and raises.
+    """
+
+    def at(row, n):
+        v = 0
+        for a in row:
+            v = v * n + a
+        return v
+
+    *rest, lead = table
+    pad = len(rest) + 1 - len(seed)
+    y = [0] * pad + list(seed)  # y_m at y[pad + m]
+    for n in range(1, order - len(seed) + 2):
+        acc = sum(at(row, n) * v for row, v in zip(rest, y[n : n + len(rest)]) if v)
+        q, r = divmod(-acc, at(lead, n))
+        if r:
+            raise ArithmeticError(f"recurrence step n = {n} is inexact: corrupt table")
+        y.append(q)
+    return y[pad : pad + order + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +571,7 @@ def series(name: str, order: int) -> RationalSeries:
     if name == B2:
         return b2_closed_form(order)
     if name == B3:
-        return solve_equation(B3_EQUATION, order)
+        return RationalSeries(tuple(_p_recurrence(_B3_RECURRENCE, [0, 1, 0], order)))
     raise ValueError(f"unknown series name: {name!r}")
 
 
@@ -531,7 +609,7 @@ def b3_singularity() -> SingularityEstimate:
     [x^n] ~ gamma * rho^n / (2 sqrt(pi n^3)).  rho is validated against the
     order-200 coefficient ratio (must agree within 1%).
     """
-    b3 = solve_equation(B3_EQUATION, 201)
+    b3 = series(B3, 201)
     ratio = mpmath.mpf(b3[201]) / b3[200]
     x0 = 1 / ratio
     # Seed z by the truncated series a touch inside the radius.
@@ -623,7 +701,7 @@ def exact_coefficient(name: str, n: int) -> int:
     if name == PPRIME:
         return pprime_coefficient(n)
     if name in (B1, B2, B3):
-        return _b_series_coeffs(name, max(800 if name == B3 else 1000, n))[n]
+        return _b_series_coeffs(name, max(1000, n))[n]
     raise ValueError(f"unknown asymptotic name: {name!r}")
 
 

@@ -60,6 +60,7 @@ from .series import (
     P,
     PPRIME,
     B2_EQUATION,
+    B3_EQUATION,
     RationalSeries,
     asymptotic,
     b3_singularity,
@@ -291,6 +292,14 @@ def _oracle_nonseparable(m: CombinatorialMap) -> bool:
 # ---------------------------------------------------------------------------
 
 _SUITES: dict = {}  # name -> (check function, {parameter: default})
+_BOUNDS: dict = {}  # name -> {parameter: (lo, hi)}
+
+
+def _guard(name: str, params: dict) -> None:
+    """Refuse a parameter of suite `name` outside its (lo, hi) bound."""
+    for param, (lo, hi) in _BOUNDS[name].items():
+        if not lo <= params[param] <= hi:
+            raise ValueError(f"{name}: {param} is guarded to {lo}..{hi}, got {params[param]}")
 
 
 def _suite(name: str, **bounds: tuple[int, int]):
@@ -311,11 +320,7 @@ def _suite(name: str, **bounds: tuple[int, int]):
             bound = signature.bind(*args, **kwargs)
             bound.apply_defaults()
             params = bound.arguments
-            for param, (lo, hi) in bounds.items():
-                if not lo <= params[param] <= hi:
-                    raise ValueError(
-                        f"{name}: {param} is guarded to {lo}..{hi}, got {params[param]}"
-                    )
+            _guard(name, params)
             start = time.perf_counter()
             witnesses = tuple(gen(**params))
             return VerificationReport(
@@ -323,6 +328,7 @@ def _suite(name: str, **bounds: tuple[int, int]):
             )
 
         _SUITES[name] = (run, defaults)
+        _BOUNDS[name] = bounds
         return run
 
     return register
@@ -577,6 +583,7 @@ def check_series_identities(order: int = 30):
     """Coefficientwise identities among the named series.
 
     The three A routes agree; B2's closed form solves its equation; B3's
+    recurrence agrees with the online solution of its quartic; B3's
     first ten coefficients are 1, 0, 1, 1, 5, 13, 48, 160, 578, 2078; PPRIME
     is (1-x)P and the binomial sum gives P, for P = A(x/(1+x)) by `compose`.
     """
@@ -590,6 +597,8 @@ def check_series_identities(order: int = 30):
     if b2_closed_form(order) != solve_equation(B2_EQUATION, order):
         yield ("B2 closed form", "equation solution", "differs")
     b3 = series(B3, order)
+    if b3 != solve_equation(B3_EQUATION, order):
+        yield ("B3 recurrence", "equation solution", "differs")
     printed = (1, 0, 1, 1, 5, 13, 48, 160, 578, 2078)[:order]
     got = tuple(int(b3[i]) for i in range(1, len(printed) + 1))
     if got != printed:
@@ -666,19 +675,19 @@ def run_suite(name: str, max_size: int | None = None) -> list[VerificationReport
     """Run one suite (or "all"); sizes only ever shrink below the defaults.
 
     The cap is min(per-suite default, --max-size, MAPSCOPE_MAX_SIZE); the
-    environment variable and flag cannot raise a default.
+    environment variable and flag cannot raise a default.  Every suite's
+    sizes are checked before any suite runs.
     """
-    if name == "all":
-        out = []
-        for sub in _SUITES:
-            out.extend(run_suite(sub, max_size))
-        return out
-    if name not in _SUITES:
+    if name != "all" and name not in _SUITES:
         raise ValueError(f"unknown suite: {name!r}")
-    func, defaults = _SUITES[name]
     caps = [v for v in (max_size, _env_max_size()) if v is not None]
-    params = {k: min([v] + caps) for k, v in defaults.items()}
-    return [func(**params)]
+    runs = []
+    for sub in _SUITES if name == "all" else (name,):
+        func, defaults = _SUITES[sub]
+        params = {k: min([v] + caps) for k, v in defaults.items()}
+        _guard(sub, params)
+        runs.append((func, params))
+    return [func(**params) for func, params in runs]
 
 
 def _env_max_size() -> int | None:

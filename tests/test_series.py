@@ -33,6 +33,8 @@ from mapscope.series import (
     solve_equation,
     sqrt_series,
     tutte_count,
+    _B3_RECURRENCE,
+    _p_recurrence,
 )
 
 import pytest
@@ -234,6 +236,19 @@ def test_squaring_equals_general_product():
 def test_a_cubic_matches_closed_form_at_high_order():
     'The seed-1 cubic solve against the independent closed form, far past the prefixes'
     assert series(A_ZEIL, 400) == series(A_FORMULA, 400)
+
+
+def test_b3_recurrence_matches_equation_solution():
+    'The recurrence route against the online solve of the quartic, far past the prefixes'
+    assert series(B3, 300) == solve_equation(B3_EQUATION, 300)
+
+
+def test_b3_recurrence_refuses_a_corrupt_table():
+    'A table with one coefficient off by one meets an inexact division and raises'
+    rows = [list(row) for row in _B3_RECURRENCE]
+    rows[-3][-1] += 1
+    with pytest.raises(ArithmeticError, match="corrupt table"):
+        _p_recurrence(rows, [0, 1, 0], 60)
 
 
 def test_b3_coefficient_800_pinned():

@@ -78,12 +78,6 @@ def test_theorem5_reports_the_break():
     assert any("mismatches" in w[2] for w in r.witnesses)
 
 
-def test_theorem5_guard():
-    'Sizes beyond the brute-force budget are rejected'
-    with pytest.raises(ValueError):
-        check_theorem5(11)
-
-
 # suite -> {parameter: (default, lo, hi)}: the sizes each suite accepts.
 SUITE_SIZES = {
     "counts": {"n_max": (9, 1, 9)},
@@ -126,6 +120,19 @@ def test_suite_guards(suite, param, value, lo, hi, monkeypatch):
     with pytest.raises(ValueError) as exc:
         check(**{**defaults, param: value})
     assert str(exc.value) == f"{suite}: {param} is guarded to {lo}..{hi}, got {value}"
+
+
+def test_run_suite_all_refuses_before_any_suite_runs(monkeypatch):
+    'run_suite("all") checks every suite\'s sizes before the first suite starts'
+    def no_work(*args, **kwargs):
+        pytest.fail("a suite started work before every size was checked")
+
+    for name in ("enumerate_trees", "series", "generate_av", "tutte_count"):
+        monkeypatch.setattr(verify, name, no_work)
+    monkeypatch.delenv("MAPSCOPE_MAX_SIZE", raising=False)
+    with pytest.raises(ValueError) as exc:
+        run_suite("all", 1)
+    assert str(exc.value) == "bounds: n_max is guarded to 2..10, got 1"
 
 
 def test_brute_force_av_small():
