@@ -36,7 +36,6 @@ from .maps import (
 from .perms import (
     MeshPattern,
     Permutation,
-    VincularPattern,
     avoids,
     format_perm,
     generate_av,

@@ -1,24 +1,20 @@
 """Permutations, pattern matching, and the tree <-> permutation bijection.
 
 Permutations are tuples of the integers 1..n in one-line notation; the empty
-tuple is the empty permutation.  Three pattern flavors are supported:
+tuple is the empty permutation.  Every pattern is a mesh pattern
+`MeshPattern(base, shaded)` (Branden and Claesson 2011): a shaded cell
+(column, row) forbids any letter of the host from that region around the
+occurrence, column/row 0 being left of/below it.  Classical and vincular
+patterns are mesh patterns: 3142 shades no cell (a bare base tuple is read
+so), and 2-41-3 shades all of column 2, an adjacency.
 
-* classical: a plain tuple, matched as a subsequence up to order isomorphism;
-* vincular: `VincularPattern(base, adjacent)` where `adjacent` holds indices i
-  (1-based) meaning base positions i and i+1 must sit next to each other in
-  the occurrence;
-* mesh: `MeshPattern(base, shaded)` where shaded cells (column, row) forbid
-  any letter of the host permutation from the corresponding region around the
-  occurrence (column/row 0 are left of/below the occurrence).
-
-All three flavors share one matcher.  Candidates grow left to right,
-depth-first, and each new letter is checked against its neighbours by rank
-in the base's argsort, so no subset is ever sorted.  Shaded cells (mesh
-patterns, Branden and Claesson 2011) take one of two forms.  A fully shaded
-inner column only says that its two letters are adjacent, so it is matched
-as a vincular adjacency.  The other cells are merged into rectangles, each
-tested on prefix bit-sets of the host's values (n + 1 ints, built once per
-call).  `avoids` stops at the first occurrence, and `occurrences` counts
+One matcher serves them all.  Candidates grow left to right, depth-first,
+and each new letter is checked against its neighbours by rank in the base's
+argsort, so no subset is ever sorted.  Shaded cells take one of two forms.
+A fully shaded inner column only says that its two letters are adjacent, so
+it is matched as an adjacency.  The other cells are merged into rectangles,
+each tested on prefix bit-sets of the host's values (n + 1 ints, built once
+per call).  `avoids` stops at the first occurrence, and `occurrences` counts
 without listing them.
 
 The class Av(3142, 2-41-3) is in bijection with beta(1,0)-trees: a tree on
@@ -41,7 +37,6 @@ from .trees import LabeledTree, _require_valid, postorder
 __all__ = [
     "Permutation",
     "MeshPattern",
-    "VincularPattern",
     "M",
     "M_PRIME",
     "N",
@@ -78,20 +73,14 @@ class MeshPattern:
     shaded: frozenset[tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class VincularPattern:
-    base: Permutation
-    adjacent: frozenset[int]
-
-
 # Built-in patterns.  Cells are (column, row) with 0 = leftmost / bottom.
 M = MeshPattern((2, 1), frozenset({(1, 0), (1, 1), (1, 2), (2, 1)}))
 M_PRIME = MeshPattern((2, 1), M.shaded | {(0, 2), (2, 2)})
 N = MeshPattern((1,), frozenset({(0, 0), (0, 1), (1, 1)}))
 INS1 = MeshPattern((2, 1), frozenset({(0, 1), (1, 0), (1, 1), (1, 2), (2, 1)}))
 INS2 = MeshPattern((2, 1), frozenset({(0, 0), (1, 0), (1, 1), (1, 2), (2, 1)}))
-P3142: Permutation = (3, 1, 4, 2)
-P2413_VINC = VincularPattern((2, 4, 1, 3), frozenset({2}))
+P3142 = MeshPattern((3, 1, 4, 2), frozenset())
+P2413_VINC = MeshPattern((2, 4, 1, 3), frozenset((2, row) for row in range(5)))
 
 
 def flatten(word) -> Permutation:
@@ -150,17 +139,16 @@ def is_indecomposable(pi: Permutation) -> bool:
 
 
 @lru_cache(maxsize=128)
-def _plan(pattern) -> tuple[tuple, tuple]:
+def _plan(pattern: MeshPattern) -> tuple[tuple, tuple]:
     """(steps, rects): what the matcher needs to know of a pattern.
 
     steps[i] = (lo, hi, adjacent) for the i-th letter of the base.  Among
     the base's first i letters, lo is the index of the one just below it in
     value and hi of the one just above (-1: none), both read off the base's
     argsort; adjacent says the letter must sit right after the previous one.
-    That holds for a vincular pattern's adjacencies and, once every cell is
-    validated, for each fully shaded inner column of a mesh pattern: no
-    letter may fall between its two letters.  The outer columns 0 and k
-    stay shading.
+    Once every cell is validated, that holds for each fully shaded inner
+    column, a vincular pattern's adjacency: no letter may fall between its
+    two letters.  The outer columns 0 and k stay shading.
 
     rects merges each column's remaining vertically contiguous shaded cells
     into one rectangle (xa, xb, ya, yb) of indices into a candidate padded
@@ -169,18 +157,12 @@ def _plan(pattern) -> tuple[tuple, tuple]:
     pi[e[yb]], where pi is padded as (*pi, n + 1, 0) so that the
     sentinels read as the grid's edges.
     """
-    if isinstance(pattern, (MeshPattern, VincularPattern)):
-        base = tuple(pattern.base)
-    else:
-        base = pattern
+    base = tuple(pattern.base)
     k = len(base)
     if sorted(base) != list(range(1, k + 1)):
         raise ValueError(f"pattern base is not a permutation: {base!r}")
-    vincular = isinstance(pattern, VincularPattern)
-    adjacent = set(pattern.adjacent) if vincular else set()
-    if any(not 1 <= i < k for i in adjacent):
-        raise ValueError(f"adjacency outside 1..{k - 1}: {sorted(adjacent)}")
-    shaded = set(pattern.shaded) if isinstance(pattern, MeshPattern) else set()
+    adjacent = set()
+    shaded = set(pattern.shaded)
     for a, b in shaded:
         if not (0 <= a <= k and 0 <= b <= k):
             raise ValueError(
@@ -283,8 +265,8 @@ def _unshaded(blocks, rects, pi: Permutation):
 
 def _occurrence_blocks(pattern, pi: Permutation):
     """Iterator over the occurrences, lexicographically, in non-empty lists."""
-    if not isinstance(pattern, (MeshPattern, VincularPattern)):
-        pattern = tuple(pattern)
+    if not isinstance(pattern, MeshPattern):  # a bare base: a classical pattern
+        pattern = MeshPattern(tuple(pattern), frozenset())
     steps, rects = _plan(pattern)
     # The empty base has one candidate, (); its shading still applies.
     blocks = _candidate_blocks(steps, pi) if steps else iter([[()]])
@@ -297,7 +279,7 @@ def occurrence_positions(pattern, pi: Permutation) -> list[tuple[int, ...]]:
 
 
 def occurrences(pattern, pi: Permutation) -> int:
-    """Number of occurrences of a classical, vincular, or mesh pattern."""
+    """Number of occurrences of a pattern (a bare base tuple is classical)."""
     return sum(map(len, _occurrence_blocks(pattern, pi)))
 
 

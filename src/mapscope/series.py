@@ -642,6 +642,18 @@ def b3_singularity() -> SingularityEstimate:
     return SingularityEstimate(tau=z, rho=rho, gamma=gamma)
 
 
+with mpmath.workdps(30):
+    # (c, k, e, r) of each printed estimate c sqrt(k/(pi n^e)) r^n.
+    _RT2 = mpmath.sqrt(2)
+    _PRINTED = {
+        "A": (mpmath.mpf(2) / 27, mpmath.mpf(3), 5, mpmath.mpf(27) / 4),
+        P: (mpmath.mpf(46) / 729, mpmath.mpf(23), 5, mpmath.mpf(23) / 4),
+        PPRIME: (mpmath.mpf(529) / 1458, mpmath.mpf(23), 3, mpmath.mpf(23) / 4),
+        B1: (mpmath.mpf(1) / 8, mpmath.mpf(3), 3, mpmath.mpf(3)),
+        B2: (1 / (8 * _RT2 + 12), 4 + _RT2, 3, 7 / (2 * _RT2 - 1)),
+    }
+
+
 @mpmath.workdps(30)
 def asymptotic(name: str, n: int):
     """First-order coefficient estimates, exactly as conventionally printed.
@@ -656,31 +668,12 @@ def asymptotic(name: str, n: int):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    mp = mpmath.mpf
-    pi = mpmath.pi
-    if name == "A":
-        return mp(2) / 27 * mpmath.sqrt(mp(3) / (pi * mp(n) ** 5)) * (mp(27) / 4) ** n
-    if name == PPRIME:
-        return (
-            mp(529) / 1458 * mpmath.sqrt(mp(23) / (pi * mp(n) ** 3)) * (mp(23) / 4) ** n
-        )
-    if name == P:
-        return (
-            mp(46) / 729 * mpmath.sqrt(mp(23) / (pi * mp(n) ** 5)) * (mp(23) / 4) ** n
-        )
-    if name == B1:
-        return mp(1) / 8 * mpmath.sqrt(mp(3) / (pi * mp(n) ** 3)) * mp(3) ** n
-    if name == B2:
-        rt2 = mpmath.sqrt(2)
-        return (
-            1
-            / (8 * rt2 + 12)
-            * mpmath.sqrt((4 + rt2) / (pi * mp(n) ** 3))
-            * (7 / (2 * rt2 - 1)) ** n
-        )
+    if name in _PRINTED:
+        c, k, e, r = _PRINTED[name]
+        return c * mpmath.sqrt(k / (mpmath.pi * mpmath.mpf(n) ** e)) * r**n
     if name == B3:
         est = b3_singularity()
-        return est.gamma * est.rho**n / (2 * mpmath.sqrt(pi * mp(n) ** 3))
+        return est.gamma * est.rho**n / (2 * mpmath.sqrt(mpmath.pi * mpmath.mpf(n) ** 3))
     raise ValueError(f"unknown asymptotic name: {name!r}")
 
 

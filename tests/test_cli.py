@@ -547,6 +547,21 @@ EXACT_OUTPUTS = [
         "json": '{"name": "a", "n": 5, "estimate": "18.1445322032"}\n',
         "csv": "name,n,estimate\na,5,18.1445322032\n",
     }, id="asympt"),
+    pytest.param("asympt --name p --at 1000", "", {
+        "text": "2.51283501248e+751\n",
+        "json": '{"name": "p", "n": 1000, "estimate": "2.51283501248e+751"}\n',
+        "csv": "name,n,estimate\np,1000,2.51283501248e+751\n",
+    }, id="asympt-p"),
+    pytest.param("asympt --name pprime --at 1000", "", {
+        "text": "1.44488013217e+755\n",
+        "json": '{"name": "pprime", "n": 1000, "estimate": "1.44488013217e+755"}\n',
+        "csv": "name,n,estimate\npprime,1000,1.44488013217e+755\n",
+    }, id="asympt-pprime"),
+    pytest.param("asympt --name b3 --at 100", "", {
+        "text": "1.9538702269e+58\n",
+        "json": '{"name": "b3", "n": 100, "estimate": "1.9538702269e+58"}\n',
+        "csv": "name,n,estimate\nb3,100,1.9538702269e+58\n",
+    }, id="asympt-b3"),
 ]
 
 

@@ -1,7 +1,8 @@
-"""Docstring examples stay true."""
+"""Docstring examples and the README's library tour stay true."""
 
 import doctest
 import importlib
+from pathlib import Path
 
 MODULES = ["mapscope.trees", "mapscope.perms", "mapscope.series"]
 
@@ -12,3 +13,11 @@ def test_doctests():
         result = doctest.testmod(importlib.import_module(name), verbose=False)
         assert result.failed == 0, name
         assert result.attempted > 0, name
+
+
+def test_readme_tour():
+    'Run the library tour in README.md'
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False, verbose=False)
+    assert result.failed == 0
+    assert result.attempted > 0

@@ -12,7 +12,6 @@ from mapscope.perms import (
     N,
     P3142,
     P2413_VINC,
-    VincularPattern,
     avoids,
     components,
     direct_sum,
@@ -235,6 +234,14 @@ def test_mesh_matcher_agrees_with_naive_on_long_hosts():
             )
 
 
+def test_class_patterns_agree_with_naive():
+    'The two class patterns, one with an adjacency column, on every host <= 7'
+    for p in (P3142, P2413_VINC):
+        for n in range(8):
+            for pi in itertools.permutations(range(1, n + 1)):
+                assert occurrences(p, pi) == naive_mesh_occurrences(p.base, p.shaded, pi)
+
+
 def test_m_count_on_a_long_host_is_linear_in_memory():
     'M on 2,000 letters: one adjacency and one shaded cell, not O(n^2) work'
     rng = random.Random(1202)
@@ -262,7 +269,6 @@ def test_m_count_on_a_long_host_is_linear_in_memory():
 def test_malformed_patterns_rejected():
     for pattern in (
         (1, 3),
-        VincularPattern((2, 1), frozenset({2})),
         MeshPattern((2, 1), frozenset({(3, 0)})),
         # A fully shaded inner column plus a cell off the grid.
         MeshPattern((2, 1), frozenset({(1, 0), (1, 1), (1, 2), (1, 5)})),
