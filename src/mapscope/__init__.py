@@ -10,12 +10,9 @@ from .trees import (
     count_trees,
     enumerate_trees,
     format_tree,
-    has_no_only_children,
-    is_k_face_free_tree,
-    is_primitive_tree,
     is_valid_tree,
-    mef_necessary,
     parse_tree,
+    passes,
     tree_stats,
     validate_tree,
 )

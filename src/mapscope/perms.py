@@ -518,15 +518,10 @@ def parse_perm(text: str) -> Permutation:
     text = text.strip()
     if not text or text == "e":
         return ()
-    if " " in text:
-        try:
-            values = tuple(int(tok) for tok in text.split())
-        except ValueError:
-            raise ValueError(f"malformed permutation: {text!r}") from None
-    elif text.isdigit():
-        values = tuple(int(ch) for ch in text)
-    else:
+    tokens = text.split() if " " in text else text  # compact form: one digit each
+    if not (text.isascii() and all(map(str.isdigit, tokens))):
         raise ValueError(f"malformed permutation: {text!r}")
+    values = tuple(map(int, tokens))
     if sorted(values) != list(range(1, len(values) + 1)):
         raise ValueError(f"not a permutation of 1..{len(values)}: {text!r}")
     return values

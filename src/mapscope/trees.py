@@ -36,11 +36,8 @@ __all__ = [
     "count_trees_by_size",
     "parse_filters",
     "select_trees",
+    "passes",
     "tree_stats",
-    "is_primitive_tree",
-    "is_k_face_free_tree",
-    "mef_necessary",
-    "has_no_only_children",
     "parse_tree",
     "format_tree",
     "iter_subtrees",
@@ -137,7 +134,7 @@ def validate_tree(t: LabeledTree) -> str:
     stack = [t]
     while stack:
         s = stack.pop()
-        if not isinstance(s.label, int) or s.label < 1:
+        if type(s.label) is not int or s.label < 1:  # a bool is no label
             msg = f"label {s.label!r} is not a positive integer"
         elif not s.children:
             if s.label == 1:
@@ -234,12 +231,16 @@ def enumerate_trees(nodes: int, filters=()) -> list[LabeledTree]:
 # labels; and the root label is not `bad_root` (0: none).  `node` holds when
 # m = 0 or m >= m_cap, and reads d as min(d, d_cap) and s as min(s, 4), so
 # the counting DP may clamp them.  `labels-max` caps the non-root labels.
-# The listing, the counting DP and the public predicates read the same rules.
+# The listing, the counting DP and `passes` read the same rules.
 # ---------------------------------------------------------------------------
 
 
 _Rule = namedtuple("_Rule", "node bad_root m_cap d_cap")
 
+# Necessary conditions for the map to be multiple-edge-free, not sufficient:
+# no single child with maximum label or labeled 1, and root label not 1.  The
+# one-edge map is the exception: its tree has root label 1, yet the map has
+# no multiple edge.
 _MEF_NECESSARY = _Rule(lambda m, d, s: m != 1 or (d > 0 and s != 1), 1, 2, 1)
 _NO_ONLY_CHILDREN = _Rule(lambda m, d, s: m != 1, 0, 2, 0)
 # No face of degree k: a node makes an internal face of degree 1+m+d, the root
@@ -270,10 +271,9 @@ def parse_filters(specs) -> tuple[Optional[int], tuple[_Rule, ...]]:
             continue
         if not eq or name not in ("k-face-free", "labels-max"):
             raise ValueError(f"unknown filter: {spec!r}")
-        try:
-            value = int(text)
-        except ValueError:
-            raise ValueError(f"bad filter value: {spec!r}") from None
+        if not (text.isascii() and text.isdigit()):
+            raise ValueError(f"bad filter value: {spec!r}")
+        value = int(text)
         if name == "labels-max":
             if value < 1:
                 raise ValueError("labels-max filter requires a cap >= 1")
@@ -292,9 +292,13 @@ def _node_passes(kids: tuple[LabeledTree, ...], rules) -> bool:
     return all(r.node(len(kids), d, s) for r in rules)
 
 
-def _passes(t: LabeledTree, rules) -> bool:
-    """Whether t passes every rule (t is not validated)."""
+def passes(t: LabeledTree, filters=()) -> bool:
+    """Whether the valid tree t passes every filter spec (see `parse_filters`)."""
+    cap, rules = parse_filters(filters)
+    _require_valid(t)
     if any(t.label == r.bad_root for r in rules):
+        return False
+    if cap is not None and any(u.label > cap for c in t.children for u in iter_subtrees(c)):
         return False
     m_cap = max((r.m_cap for r in rules), default=0)
     return all(
@@ -368,7 +372,7 @@ def count_trees_by_size(nodes: int, filters=()) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Statistics and predicates
+# Statistics
 # ---------------------------------------------------------------------------
 
 
@@ -394,39 +398,6 @@ def tree_stats(t: LabeledTree) -> TreeStats:
         single_child_max_nodes=scm,
         decomposable=len(t.children) >= 2,
     )
-
-
-def is_primitive_tree(t: LabeledTree) -> bool:
-    """True iff no node has a single child carrying maximum label."""
-    _require_valid(t)
-    return _passes(t, (_PRIMITIVE,))
-
-
-def is_k_face_free_tree(t: LabeledTree, k: int) -> bool:
-    """True iff the corresponding map has no face of degree k (root face
-    included), for k in {2, 3, 4}; the rule is `_K_FACE_FREE[k]`."""
-    if k not in _K_FACE_FREE:
-        raise ValueError(f"k must be 2, 3 or 4, got {k!r}")
-    _require_valid(t)
-    return _passes(t, (_K_FACE_FREE[k],))
-
-
-def mef_necessary(t: LabeledTree) -> bool:
-    """Necessary conditions for the corresponding map to be multiple-edge-free.
-
-    Avoids all three structures: a node with a single maximum-label child,
-    root label 1, and a node with a single child labeled 1.  Necessary but
-    not sufficient; and the one-edge map is the usual boundary exception
-    (its tree fails the root-label rule yet the map has no multiple edge).
-    """
-    _require_valid(t)
-    return _passes(t, (_MEF_NECESSARY,))
-
-
-def has_no_only_children(t: LabeledTree) -> bool:
-    """True iff no node of t (root included) has exactly one child."""
-    _require_valid(t)
-    return _passes(t, (_NO_ONLY_CHILDREN,))
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +437,7 @@ def parse_tree(text: str) -> LabeledTree:
             while pos < n and text[pos].isspace():
                 pos += 1
             start = pos
-            while pos < n and text[pos].isdigit():
+            while pos < n and "0" <= text[pos] <= "9":
                 pos += 1
             if pos > start:
                 open_nodes.append((int(text[start:pos]), []))

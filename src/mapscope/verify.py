@@ -75,7 +75,7 @@ from .series import (
 )
 from .trees import (
     enumerate_trees,
-    is_k_face_free_tree,
+    passes,
     tree_stats,
     format_tree,
 )
@@ -453,7 +453,7 @@ def check_kfacefree(n_max: int = 9):
             degrees, _ = _oracle_faces(m)
             for k in (2, 3, 4):
                 oracle = all(d != k for d in degrees)
-                predicate = is_k_face_free_tree(t, k)
+                predicate = passes(t, [f"k-face-free={k}"])
                 if predicate != oracle:
                     yield (f"{format_tree(t)} [k={k}]", str(oracle), str(predicate))
 

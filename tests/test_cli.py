@@ -9,10 +9,9 @@ import pytest
 from mapscope.cli import main
 from mapscope.trees import (
     format_tree,
-    has_no_only_children,
-    is_primitive_tree,
     iter_subtrees,
     parse_tree,
+    passes,
 )
 
 FOUR_NODE_TREES = [
@@ -92,6 +91,10 @@ def test_enumerate_count_empty_perm(filters, count, capsys):
         ("nope", "unknown filter: 'nope'"),
         ("labels-max=0", "labels-max filter requires a cap >= 1"),
         ("labels-max=x", "bad filter value: 'labels-max=x'"),
+        ("labels-max=+2", "bad filter value: 'labels-max=+2'"),
+        ("labels-max=\u0662", "bad filter value: 'labels-max=\u0662'"),
+        ("k-face-free=0_3", "bad filter value: 'k-face-free=0_3'"),
+        ("k-face-free= 3", "bad filter value: 'k-face-free= 3'"),
         ("k-face-free=5", "k-face-free filter supports k in {2, 3, 4}"),
     ],
 )
@@ -119,11 +122,11 @@ def _labels_at_most(tree, cap):
     "filters, keep",
     [
         (["labels-max=2", "no-only-children"],
-         lambda t: _labels_at_most(t, 2) and has_no_only_children(t)),
+         lambda t: _labels_at_most(t, 2) and passes(t, ["no-only-children"])),
         (["labels-max=2"], lambda t: _labels_at_most(t, 2)),
         (["labels-max=3", "labels-max=1", "labels-max=2"], lambda t: _labels_at_most(t, 1)),
         (["labels-max=2", "primitive"],
-         lambda t: _labels_at_most(t, 2) and is_primitive_tree(t)),
+         lambda t: _labels_at_most(t, 2) and passes(t, ["primitive"])),
     ],
 )
 def test_enumerate_pruning_filters(filters, keep, capsys):

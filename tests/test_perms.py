@@ -319,6 +319,10 @@ def test_parse_format_roundtrip():
     assert parse_perm("231") == (2, 3, 1)
     with pytest.raises(ValueError):
         parse_perm("1 1")
+    # only runs of ASCII digits are integers
+    for text in ("+1 2", "2 1_0 1 3 4 5 6 7 8 9", "\u0661\u0662"):
+        with pytest.raises(ValueError, match="^malformed permutation: "):
+            parse_perm(text)
 
 
 def test_membership_guard():

@@ -10,15 +10,12 @@ from mapscope.trees import (
     enumerate_trees,
     format_tree,
     has_max_label,
-    has_no_only_children,
-    is_k_face_free_tree,
-    is_primitive_tree,
     is_valid_tree,
     iter_subtrees,
     leaf,
-    mef_necessary,
     node,
     parse_tree,
+    passes,
     select_trees,
     tree_stats,
     validate_tree,
@@ -77,6 +74,10 @@ def test_validate_rejects_bad_labels():
     assert not is_valid_tree(bad_leaf)
     zero = node(0, [leaf(), leaf()])
     assert not is_valid_tree(zero)
+    # True == 1, but a bool label hashes and prints unlike the int
+    assert LabeledTree(True, ()) == leaf()
+    assert validate_tree(LabeledTree(True, ())) == "root: label True is not a positive integer"
+    assert not is_valid_tree(LabeledTree(2, (LabeledTree(True, ()), leaf())))
 
 
 def test_validate_names_the_first_bad_node():
@@ -96,9 +97,11 @@ def test_parse_format_roundtrip():
 
 
 def test_parse_errors_carry_position():
-    for text in ("", "(1", "(1 (1) ", "1)", "(x)"):
+    for text in ("", "(1", "(1 (1) ", "1)", "(x)", "(\u0662 (\u0661) (\u0661))"):
         with pytest.raises(ValueError):
             parse_tree(text)
+    with pytest.raises(ValueError, match="^parse error at position 1: expected integer label$"):
+        parse_tree("(\u00b2)")
 
 
 def test_stats_single_node():
@@ -129,37 +132,37 @@ def test_stats_worked_example():
 def test_primitive_matches_stat():
     for n in range(1, 7):
         for t in enumerate_trees(n):
-            assert is_primitive_tree(t) == (tree_stats(t).single_child_max_nodes == 0)
-    assert is_primitive_tree(parse_tree("(1 (1 (1) (1)))"))
-    assert not is_primitive_tree(parse_tree(WORKED_TREE))
+            assert passes(t, ["primitive"]) == (tree_stats(t).single_child_max_nodes == 0)
+    assert passes(parse_tree("(1 (1 (1) (1)))"), ["primitive"])
+    assert not passes(parse_tree(WORKED_TREE), ["primitive"])
 
 
 def test_two_face_free_counts():
     for n, expected in TWO_FACE_FREE_BY_NODES.items():
-        assert sum(1 for t in enumerate_trees(n) if is_k_face_free_tree(t, 2)) == expected
+        assert sum(1 for t in enumerate_trees(n) if passes(t, ["k-face-free=2"])) == expected
 
 
 def test_k_face_free_guards():
     with pytest.raises(ValueError):
-        is_k_face_free_tree(leaf(), 5)
+        passes(leaf(), ["k-face-free=5"])
     with pytest.raises(ValueError):
-        is_k_face_free_tree(leaf(), 1)
+        passes(leaf(), ["k-face-free=1"])
 
 
 def test_four_cycle_tree_is_two_face_free():
-    assert is_k_face_free_tree(parse_tree("(3 (1) (1) (1))"), 2)
-    assert not is_k_face_free_tree(parse_tree("(1 (1))"), 2)
+    assert passes(parse_tree("(3 (1) (1) (1))"), ["k-face-free=2"])
+    assert not passes(parse_tree("(1 (1))"), ["k-face-free=2"])
 
 
 def test_mef_necessary():
     'Necessary conditions for multiple-edge-freeness; not sufficient'
-    assert mef_necessary(parse_tree("(2 (1) (1))"))
-    assert not mef_necessary(parse_tree("(1 (1))"))
+    assert passes(parse_tree("(2 (1) (1))"), ["mef-necessary"])
+    assert not passes(parse_tree("(1 (1))"), ["mef-necessary"])
     # the doubled-edge six-node witness is caught: its 1-labeled node has
     # a single child labeled 1
-    assert not mef_necessary(parse_tree("(2 (1) (1 (1 (1) (1))))"))
+    assert not passes(parse_tree("(2 (1) (1 (1 (1) (1))))"), ["mef-necessary"])
     # not sufficient: this tree passes but its map has a multiple edge
-    assert mef_necessary(parse_tree("(2 (2 (1) (2 (1) (1))))"))
+    assert passes(parse_tree("(2 (2 (1) (2 (1) (1))))"), ["mef-necessary"])
 
 
 def test_restricted_enumeration_counts():
@@ -175,7 +178,7 @@ def test_restricted_enumeration_counts():
 
 def test_restricted_trees_respect_their_predicates():
     for t in enumerate_trees(6, ["labels-max=2", "no-only-children"]):
-        assert has_no_only_children(t)
+        assert passes(t, ["no-only-children"])
         assert all(s.label <= 2 for s in iter_subtrees(t) if s is not t)
 
 
@@ -189,12 +192,12 @@ def test_pruned_enumeration_equals_filtered():
                     t
                     for t in full
                     if all(s.label <= cap for c in t.children for s in iter_subtrees(c))
-                    and (not forbid or has_no_only_children(t))
+                    and (not forbid or passes(t, ["no-only-children"]))
                 ]
                 specs = [f"labels-max={cap}"] + ["no-only-children"] * forbid
                 assert enumerate_trees(n, specs) == expected
         assert enumerate_trees(n, ["no-only-children"]) == [
-            t for t in full if has_no_only_children(t)
+            t for t in full if passes(t, ["no-only-children"])
         ]
 
 
@@ -210,16 +213,12 @@ def test_has_max_label_convention():
     assert has_max_label(inner)
 
 
-# The comparison side of the counting DP: the public predicates, and a label
-# cap read straight off the non-root nodes.
+# The comparison side of the counting DP: each rule tested alone on a whole
+# tree, and a label cap read straight off the non-root nodes.
+RULE_SPECS = ["primitive", "two-face-free", "k-face-free=2", "k-face-free=3",
+              "k-face-free=4", "mef-necessary", "no-only-children"]
 FILTER_PREDICATES = {
-    "primitive": is_primitive_tree,
-    "two-face-free": lambda t: is_k_face_free_tree(t, 2),
-    "k-face-free=2": lambda t: is_k_face_free_tree(t, 2),
-    "k-face-free=3": lambda t: is_k_face_free_tree(t, 3),
-    "k-face-free=4": lambda t: is_k_face_free_tree(t, 4),
-    "mef-necessary": mef_necessary,
-    "no-only-children": has_no_only_children,
+    **{spec: lambda t, spec=spec: passes(t, [spec]) for spec in RULE_SPECS},
     **{
         f"labels-max={cap}": lambda t, cap=cap: all(
             s.label <= cap for c in t.children for s in iter_subtrees(c)
@@ -241,11 +240,14 @@ def test_count_dp_equals_filtered_enumeration():
     'Every filter, every pair, repeated caps: the DP counts what filtering the listing keeps'
     for n in range(1, 9):
         full = enumerate_trees(n)
-        passes = {spec: [pred(t) for t in full] for spec, pred in FILTER_PREDICATES.items()}
+        passed = {spec: [pred(t) for t in full] for spec, pred in FILTER_PREDICATES.items()}
         for specs in FILTER_SETS:
-            kept = [t for i, t in enumerate(full) if all(passes[s][i] for s in specs)]
+            kept = [t for i, t in enumerate(full) if all(passed[s][i] for s in specs)]
             assert count_trees(n, specs) == len(kept), (n, specs)
             assert list(select_trees(n, specs)) == kept, (n, specs)
+            assert [t for t in full if passes(t, specs)] == kept, (n, specs)
+    with pytest.raises(ValueError, match="^invalid tree: "):
+        passes(LabeledTree(2, (leaf(),)))
 
 
 def test_every_single_filter_lists_what_it_counts():
