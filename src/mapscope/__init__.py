@@ -18,10 +18,7 @@ from .trees import (
 )
 from .maps import (
     CombinatorialMap,
-    FaceReport,
     canonical_code,
-    face_degrees,
-    faces,
     format_map,
     has_multiple_edges,
     internal_2face_count,

@@ -35,13 +35,12 @@ from .series import (
     series as build_series,
 )
 from .maps import (
-    faces,
     format_map,
     has_multiple_edges,
+    internal_2face_count,
     is_nonseparable,
     parse_map,
     tree_to_map,
-    vertex_orbits,
 )
 from .perms import (
     M,
@@ -64,7 +63,7 @@ from .trees import (
     select_trees,
     tree_stats,
 )
-from .verify import SUITE_NAMES, _env_max_size, format_report, report_to_dict, run_suite
+from .verify import SUITE_NAMES, _env_max_size, _int, format_report, report_to_dict, run_suite
 
 SERIES_BY_FLAG = {
     "a": A_FORMULA,
@@ -232,14 +231,13 @@ def _tree_stat_row(t) -> dict:
 
 
 def _map_stat_row(m) -> dict:
-    rep = faces(m)
     values = (
         format_map(m),
         m.n_darts // 2,
-        len(vertex_orbits(m)),
-        len(rep.faces),
-        rep.faces[rep.root_face_index][1],
-        rep.internal_2faces,
+        len(m.vertices),
+        len(m.faces),
+        len(m.faces[0]),
+        internal_2face_count(m),
         is_nonseparable(m),
         has_multiple_edges(m),
     )
@@ -346,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list or count objects of one size")
     p.add_argument("--object", choices=("trees", "maps", "perms"), required=True)
-    p.add_argument("--size", type=int, required=True,
+    p.add_argument("--size", type=_int, required=True,
                    help="nodes for trees, edges for maps, length for perms")
     p.add_argument(
         "--filter",
@@ -372,19 +370,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="coefficients of a named series")
     p.add_argument("--name", choices=sorted(SERIES_BY_FLAG), required=True)
-    p.add_argument("--terms", type=int, required=True)
+    p.add_argument("--terms", type=_int, required=True)
     add_format(p)
     p.set_defaults(func=_cmd_series)
 
     p = sub.add_parser("asympt", help="first-order coefficient estimate")
     p.add_argument("--name", choices=sorted(ASYMPT_BY_FLAG), required=True)
-    p.add_argument("--at", type=int, required=True, metavar="N")
+    p.add_argument("--at", type=_int, required=True, metavar="N")
     add_format(p)
     p.set_defaults(func=_cmd_asympt)
 
     p = sub.add_parser("verify", help="run a cross-check suite")
     p.add_argument("--suite", choices=SUITE_NAMES, required=True)
-    p.add_argument("--max-size", type=int, default=None,
+    p.add_argument("--max-size", type=_int, default=None,
                    help="shrink suite sizes (never grows them)")
     add_format(p)
     p.set_defaults(func=_cmd_verify)

@@ -6,22 +6,22 @@ fixed-point-free involution pairing the two darts of each edge) and `sigma`
 distinguished root dart.  Vertices are the sigma-orbits, edges the
 alpha-orbits, faces the orbits of phi = sigma o alpha; the face to the right
 of a dart is its phi-orbit, so the root face (drawn as the outer face) is the
-phi-orbit of the root dart.
+phi-orbit of the root dart.  Each map walks its orbits once, on first use:
+`m.vertices` and `m.faces` hold them as dart tuples, the root's orbit first,
+and validation and every statistic read them.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .trees import LabeledTree, _require_valid, postorder
 
 __all__ = [
     "CombinatorialMap",
-    "FaceReport",
     "validate_map",
-    "faces",
-    "face_degrees",
     "is_nonseparable",
     "has_multiple_edges",
     "canonical_code",
@@ -29,7 +29,6 @@ __all__ = [
     "internal_2face_count",
     "parse_map",
     "format_map",
-    "vertex_orbits",
 ]
 
 
@@ -48,23 +47,24 @@ class CombinatorialMap:
         if msg != "ok":
             raise ValueError(f"invalid map: {msg}")
 
+    # cached_property writes to the instance __dict__, so it bypasses the
+    # frozen dataclass's __setattr__ and also serves maps made by `tree_to_map`.
+    @cached_property
+    def vertices(self) -> tuple[tuple[int, ...], ...]:
+        """The sigma-orbits, the root vertex first."""
+        return _orbits(self.sigma, self.root)
 
-@dataclass(frozen=True)
-class FaceReport:
-    faces: tuple[tuple[tuple[int, ...], int], ...]  # (dart cycle, degree)
-    root_face_index: int
-    degree_histogram: tuple[int, ...]  # sorted degrees
-
-    @property
-    def internal_2faces(self) -> int:
-        """Number of non-root faces of degree 2."""
-        return self.degree_histogram.count(2) - (self.faces[self.root_face_index][1] == 2)
+    @cached_property
+    def faces(self) -> tuple[tuple[int, ...], ...]:
+        """The phi-orbits, phi = sigma o alpha, the root face first."""
+        return _orbits(tuple(self.sigma[e] for e in self.alpha), self.root)
 
 
-def _orbits(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
+def _orbits(perm: tuple[int, ...], first: int) -> tuple[tuple[int, ...], ...]:
+    """The cycles of `perm`, the one through `first` first, then by least dart."""
     seen = [False] * len(perm)
     out = []
-    for start in range(len(perm)):
+    for start in (first, *range(len(perm))):
         if seen[start]:
             continue
         cyc = []
@@ -74,12 +74,7 @@ def _orbits(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
             cyc.append(d)
             d = perm[d]
         out.append(tuple(cyc))
-    return out
-
-
-def vertex_orbits(m: CombinatorialMap) -> list[tuple[int, ...]]:
-    """Sigma-orbits; the i-th orbit is vertex i."""
-    return _orbits(m.sigma)
+    return tuple(out)
 
 
 def validate_map(m: CombinatorialMap) -> str:
@@ -108,40 +103,21 @@ def validate_map(m: CombinatorialMap) -> str:
                 stack.append(e)
     if len(seen) != n:
         return "map not connected (alpha,sigma not transitive on darts)"
-    phi = tuple(m.sigma[m.alpha[d]] for d in range(n))
-    v = len(_orbits(m.sigma))
-    f = len(_orbits(phi))
-    e = n // 2
+    v, e, f = len(m.vertices), n // 2, len(m.faces)
     if v - e + f != 2:
         return f"not planar: V-E+F = {v}-{e}+{f} = {v - e + f} != 2"
     return "ok"
 
 
-def faces(m: CombinatorialMap) -> FaceReport:
-    phi = tuple(m.sigma[m.alpha[d]] for d in range(m.n_darts))
-    orbs = _orbits(phi)
-    root_idx = next(i for i, orb in enumerate(orbs) if m.root in orb)
-    return FaceReport(
-        faces=tuple((orb, len(orb)) for orb in orbs),
-        root_face_index=root_idx,
-        degree_histogram=tuple(sorted(len(orb) for orb in orbs)),
-    )
-
-
-def face_degrees(m: CombinatorialMap) -> tuple[int, ...]:
-    """Sorted degrees of all faces (root face included)."""
-    return faces(m).degree_histogram
-
-
 def internal_2face_count(m: CombinatorialMap) -> int:
     """Number of non-root faces of degree 2."""
-    return faces(m).internal_2faces
+    return sum(len(f) == 2 for f in m.faces[1:])
 
 
-def _dart_vertex(m: CombinatorialMap) -> list[int]:
-    """dart -> vertex id (sigma-orbit index)."""
-    out = [-1] * m.n_darts
-    for i, orb in enumerate(_orbits(m.sigma)):
+def _vertex_of(m: CombinatorialMap) -> list[int]:
+    """dart -> index of its vertex in `m.vertices`."""
+    out = [0] * m.n_darts
+    for i, orb in enumerate(m.vertices):
         for d in orb:
             out[d] = i
     return out
@@ -156,16 +132,15 @@ def is_nonseparable(m: CombinatorialMap) -> bool:
     end is off v, so removing v disconnects them.  (=>) A corner at v between
     two blocks starts a walk that must come back to v through the other block.
     """
-    at = _dart_vertex(m)
+    at = _vertex_of(m)
     if any(at[d] == at[e] for d, e in enumerate(m.alpha)):
         return False  # loop
-    phi = tuple(m.sigma[e] for e in m.alpha)
-    return all(len({at[d] for d in orb}) == len(orb) for orb in _orbits(phi))
+    return all(len({at[d] for d in orb}) == len(orb) for orb in m.faces)
 
 
 def has_multiple_edges(m: CombinatorialMap) -> bool:
     """True iff two distinct edges share the same unordered endpoint pair."""
-    at = _dart_vertex(m)
+    at = _vertex_of(m)
     seen = set()
     for d in range(m.n_darts):
         if d < m.alpha[d]:
@@ -303,6 +278,7 @@ def parse_map(text: str) -> CombinatorialMap:
             _json_ints(obj["sigma"]),
             _json_int(obj["root"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        # JSONDecodeError is a ValueError; json.loads recurses per nesting level
         raise ValueError(f"malformed map record: {exc}") from None
     return CombinatorialMap(*fields)  # raises "invalid map: ..." for a bad rotation system

@@ -514,11 +514,13 @@ def format_perm(pi: Permutation) -> str:
 
 
 def parse_perm(text: str) -> Permutation:
-    """Parse space-separated ranks; compact digit form accepted for n <= 9."""
+    """Parse ranks separated by whitespace; a single token is read one digit per rank."""
     text = text.strip()
     if not text or text == "e":
         return ()
-    tokens = text.split() if " " in text else text  # compact form: one digit each
+    tokens = text.split()
+    if len(tokens) == 1:
+        tokens = text  # compact form: one digit each
     if not (text.isascii() and all(map(str.isdigit, tokens))):
         raise ValueError(f"malformed permutation: {text!r}")
     values = tuple(map(int, tokens))

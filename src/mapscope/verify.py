@@ -690,11 +690,24 @@ def run_suite(name: str, max_size: int | None = None) -> list[VerificationReport
     return [func(**params) for func, params in runs]
 
 
+def _int(text: str) -> int:
+    """An optional "-" and ASCII digits, surrounding whitespace ignored: the
+    integer grammar of the CLI's options and MAPSCOPE_MAX_SIZE.  (`int` also
+    takes "+", "_" and the digits of other scripts.)"""
+    digits = text.strip()
+    if not (digits.isascii() and digits.removeprefix("-").isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(digits)
+
+
+_int.__name__ = "int"  # argparse names the type in "invalid int value: ..."
+
+
 def _env_max_size() -> int | None:
     raw = os.environ.get("MAPSCOPE_MAX_SIZE")
     if raw is None or not raw.strip():
         return None
     try:
-        return int(raw)
+        return _int(raw)
     except ValueError:
         raise ValueError(f"MAPSCOPE_MAX_SIZE must be an integer, got {raw!r}") from None

@@ -146,12 +146,19 @@ def test_enumerate_size_guard(capsys):
 
 def test_size_cap_env(capsys, monkeypatch):
     'MAPSCOPE_MAX_SIZE clamps enumeration sizes; a malformed value is a usage error'
-    for value in ("3", "x"):
+    malformed = "MAPSCOPE_MAX_SIZE must be an integer, got "
+    for value, message in (
+        ("3", "size 4 exceeds MAPSCOPE_MAX_SIZE=3"),
+        (" 3 ", "size 4 exceeds MAPSCOPE_MAX_SIZE=3"),
+        ("x", malformed + "'x'"),
+        # only an optional "-" and ASCII digits make an integer
+        ("\u0663", malformed + "'\u0663'"),
+        ("+3", malformed + "'+3'"),
+        ("1_0", malformed + "'1_0'"),
+    ):
         monkeypatch.setenv("MAPSCOPE_MAX_SIZE", value)
         code, _, err = run(["enumerate", "--object", "trees", "--size", "4"], capsys)
-        assert code == 2
-        assert err.startswith("mapscope: ") and err.count("\n") == 1
-        assert "MAPSCOPE_MAX_SIZE" in err
+        assert (code, err) == (2, f"mapscope: {message}\n")
 
 
 def test_biject_tree_to_perm(capsys, monkeypatch):
@@ -351,13 +358,36 @@ def test_bad_choice(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--object", "trees", "--size", "\u0663"],
+        ["enumerate", "--object", "trees", "--count-only", "--size", "1_0"],
+        ["enumerate", "--object", "trees", "--size", "+3"],
+        ["series", "--name", "a", "--terms", "\u0663"],
+        ["asympt", "--name", "a", "--at", "1_0"],
+        ["verify", "--suite", "counts", "--max-size", "\u0663"],
+    ],
+)
+def test_integer_options_are_ascii(argv, capsys):
+    'Integer options take an optional "-" and ASCII digits only'
+    flag, value = argv[-2:]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"argument {flag}: invalid int value: {value!r}\n")
+
+
 def test_malformed_map_record(capsys, monkeypatch):
-    'Floats, strings and booleans are not integers or lists in a map record'
-    line = '{"n_darts": 2.9, "alpha": "10", "sigma": [0, true], "root": false}\n'
-    code, out, err = run(["stats", "--object", "map"], capsys, monkeypatch, stdin=line)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("mapscope: line 1: malformed map record") and err.count("\n") == 1
+    'Floats, strings and booleans are not integers or lists in a map record; nor is deep nesting'
+    for line in (
+        '{"n_darts": 2.9, "alpha": "10", "sigma": [0, true], "root": false}\n',
+        "[" * 100000 + "\n",
+    ):
+        code, out, err = run(["stats", "--object", "map"], capsys, monkeypatch, stdin=line)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("mapscope: line 1: malformed map record") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -3,8 +3,6 @@ from itertools import permutations
 from mapscope.maps import (
     CombinatorialMap,
     canonical_code,
-    face_degrees,
-    faces,
     format_map,
     has_multiple_edges,
     internal_2face_count,
@@ -12,10 +10,14 @@ from mapscope.maps import (
     parse_map,
     tree_to_map,
     validate_map,
-    vertex_orbits,
 )
 from mapscope.trees import enumerate_trees, parse_tree, tree_stats
-from mapscope.verify import _oracle_has_multiple_edges, _oracle_nonseparable
+from mapscope.verify import (
+    _oracle_faces,
+    _oracle_has_multiple_edges,
+    _oracle_nonseparable,
+    _oracle_vertex_of,
+)
 
 import pytest
 
@@ -76,8 +78,10 @@ PAIRED_TREES = [
 
 def test_single_edge_map():
     assert validate_map(SINGLE_EDGE_MAP) == "ok"
-    assert face_degrees(SINGLE_EDGE_MAP) == (2,)
-    assert len(vertex_orbits(SINGLE_EDGE_MAP)) == 2
+    assert sorted(map(len, SINGLE_EDGE_MAP.faces)) == [2]
+    assert len(SINGLE_EDGE_MAP.vertices) == 2
+    # tuples, so the cached walks cannot change; the root's orbit first
+    assert (SINGLE_EDGE_MAP.vertices, SINGLE_EDGE_MAP.faces) == (((0,), (1,)), ((0, 1),))
 
 
 def test_reference_maps_are_valid_and_nonseparable():
@@ -102,7 +106,7 @@ def test_doubled_edge_map_is_two_face_free():
     m = DOUBLED_EDGE_NO_2FACE_MAP
     assert validate_map(m) == "ok"
     assert has_multiple_edges(m)
-    assert all(d != 2 for d in face_degrees(m))
+    assert all(len(f) != 2 for f in m.faces)
     witness = parse_tree("(2 (1) (1 (1 (1) (1))))")
     assert canonical_code(tree_to_map(witness)) == canonical_code(m)
 
@@ -113,12 +117,10 @@ def test_table_one_statistics():
         for t in enumerate_trees(n):
             st = tree_stats(t)
             m = tree_to_map(t)
-            rep = faces(m)
             assert m.n_darts == 2 * st.nodes
-            assert len(vertex_orbits(m)) == st.leaves + 1
-            assert len(rep.faces) == st.internal_nodes + 1
-            root_deg = rep.faces[rep.root_face_index][1]
-            assert root_deg == st.root_label + 1
+            assert len(m.vertices) == st.leaves + 1
+            assert len(m.faces) == st.internal_nodes + 1
+            assert len(m.faces[0]) == st.root_label + 1
 
 
 def test_codes_distinct_per_size():
@@ -178,7 +180,8 @@ def test_nonseparability_matches_enumeration():
 def test_map_predicates_match_oracles_on_every_small_map():
     """Every connected planar rotation system with <= 4 edges (alpha d ^ 1,
     any sigma): the facial-walk test and the multi-edge test agree with the
-    vertex-deletion and edge-list oracles."""
+    vertex-deletion and edge-list oracles, and the vertex and face orbits
+    (root first) with the oracles' own walks."""
     n_maps = n_nonseparable = 0
     for edges in range(1, 5):
         alpha = tuple(d ^ 1 for d in range(2 * edges))
@@ -192,4 +195,9 @@ def test_map_predicates_match_oracles_on_every_small_map():
             n_nonseparable += nonseparable
             assert is_nonseparable(m) == nonseparable, m
             assert has_multiple_edges(m) == _oracle_has_multiple_edges(m), m
+            assert len(m.vertices) == max(_oracle_vertex_of(m)) + 1, m
+            degrees, root_degree = _oracle_faces(m)
+            assert sorted(map(len, m.faces)) == sorted(degrees), m
+            assert m.root in m.faces[0] and m.root in m.vertices[0], m
+            assert len(m.faces[0]) == root_degree, m
     assert (n_maps, n_nonseparable) == (18596, 307)

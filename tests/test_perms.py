@@ -317,6 +317,9 @@ def test_parse_format_roundtrip():
         assert parse_perm(format_perm(pi)) == pi
     assert parse_perm("e") == ()
     assert parse_perm("231") == (2, 3, 1)
+    # any run of whitespace separates the letters
+    assert parse_perm("1\t2") == (1, 2)
+    assert parse_perm("1 2\t3") == (1, 2, 3)
     with pytest.raises(ValueError):
         parse_perm("1 1")
     # only runs of ASCII digits are integers
