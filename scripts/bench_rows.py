@@ -12,8 +12,10 @@ cleared before each run, so each run pays what a cold process pays.  The
 per-object rows (map stats lines, tree -> perm -> tree and tree text round
 trips, the deep member's rows) time only the calls: their inputs are built
 once, before any row.  The CLI rows run `python -m mapscope.cli` as a
-subprocess, interpreter start-up included.  `--skip ROW` (repeatable)
-leaves out the row of that name, e.g. one a tree is too slow to run.
+subprocess, interpreter start-up included; the cold-start row runs
+`python -c "import mapscope.cli"`, start-up and imports alone.
+`--skip ROW` (repeatable) leaves out the row of that name, e.g. one a tree
+is too slow to run.
 Prints one JSON document: a machine header, then per label and row the
 median and every run, in seconds.  Standard library only.
 """
@@ -111,15 +113,15 @@ def _time_rows(src: str, skip: list[str]) -> dict[str, float]:
         fn()
         out[name] = time.perf_counter() - start
     env = {**os.environ, "PYTHONPATH": src}
+    commands = {'python -c "import mapscope.cli"': ["-c", "import mapscope.cli"]}
     for args in CLI_ROWS:
-        if "mapscope " + " ".join(args) in skip:
+        commands["mapscope " + " ".join(args)] = ["-m", "mapscope.cli", *args]
+    for name, argv in commands.items():
+        if name in skip:
             continue
         start = time.perf_counter()
-        subprocess.run(
-            [sys.executable, "-m", "mapscope.cli", *args],
-            env=env, stdout=subprocess.DEVNULL, check=True,
-        )
-        out["mapscope " + " ".join(args)] = time.perf_counter() - start
+        subprocess.run([sys.executable, *argv], env=env, stdout=subprocess.DEVNULL, check=True)
+        out[name] = time.perf_counter() - start
     return out
 
 

@@ -17,10 +17,8 @@ import csv
 import dataclasses
 import json
 import sys
-from functools import partial
+from functools import cache, partial
 from operator import itemgetter
-
-import mpmath
 
 from .series import (
     A_FORMULA,
@@ -283,6 +281,8 @@ def _cmd_series(args) -> int:
     if args.format == "csv":
         # CSV pairs each exact coefficient with the first-order estimate; every
         # A route (a, a-zeil, a-hyp) is estimated as A.
+        import mpmath
+
         asympt_name = ASYMPT_BY_FLAG[args.name.partition("-")[0]]
         for row in rows:
             coeff, est = row["coefficient"], asymptotic(asympt_name, row["n"])
@@ -295,6 +295,8 @@ def _cmd_series(args) -> int:
 def _cmd_asympt(args) -> int:
     if args.at < 1:
         raise ValueError("--at must be >= 1")
+    import mpmath
+
     est = mpmath.nstr(asymptotic(ASYMPT_BY_FLAG[args.name], args.at), 12)
     row = {"name": args.name, "n": args.at, "estimate": est}
     _emit([row], list(row), args.format, itemgetter("estimate"))
@@ -390,9 +392,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # argparse reads sys.stdout, sys.stderr and the terminal width when it
+    # prints, and makes a new Namespace per parse, so one parser serves every call.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:  # usage and input errors alike

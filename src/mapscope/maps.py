@@ -59,6 +59,15 @@ class CombinatorialMap:
         """The phi-orbits, phi = sigma o alpha, the root face first."""
         return _orbits(tuple(self.sigma[e] for e in self.alpha), self.root)
 
+    @cached_property
+    def _vertex_of(self) -> tuple[int, ...]:
+        """dart -> index of its vertex in `vertices`."""
+        out = [0] * self.n_darts
+        for i, orb in enumerate(self.vertices):
+            for d in orb:
+                out[d] = i
+        return tuple(out)
+
 
 def _orbits(perm: tuple[int, ...], first: int) -> tuple[tuple[int, ...], ...]:
     """The cycles of `perm`, the one through `first` first, then by least dart."""
@@ -114,15 +123,6 @@ def internal_2face_count(m: CombinatorialMap) -> int:
     return sum(len(f) == 2 for f in m.faces[1:])
 
 
-def _vertex_of(m: CombinatorialMap) -> list[int]:
-    """dart -> index of its vertex in `m.vertices`."""
-    out = [0] * m.n_darts
-    for i, orb in enumerate(m.vertices):
-        for d in orb:
-            out[d] = i
-    return out
-
-
 def is_nonseparable(m: CombinatorialMap) -> bool:
     """No loops and no cut vertices (a valid map has at least one edge).
 
@@ -132,7 +132,7 @@ def is_nonseparable(m: CombinatorialMap) -> bool:
     end is off v, so removing v disconnects them.  (=>) A corner at v between
     two blocks starts a walk that must come back to v through the other block.
     """
-    at = _vertex_of(m)
+    at = m._vertex_of
     if any(at[d] == at[e] for d, e in enumerate(m.alpha)):
         return False  # loop
     return all(len({at[d] for d in orb}) == len(orb) for orb in m.faces)
@@ -140,7 +140,7 @@ def is_nonseparable(m: CombinatorialMap) -> bool:
 
 def has_multiple_edges(m: CombinatorialMap) -> bool:
     """True iff two distinct edges share the same unordered endpoint pair."""
-    at = _vertex_of(m)
+    at = m._vertex_of
     seen = set()
     for d in range(m.n_darts):
         if d < m.alpha[d]:

@@ -414,7 +414,7 @@ def _require_member(pi: Permutation) -> list[tuple[int, int]]:
     the class: the unfold stops at the first level insert_largest does not
     rebuild."""
     if sorted(pi) != list(range(1, len(pi) + 1)):
-        raise ValueError(f"not a permutation of 1..{len(pi)}: {pi!r}")
+        raise ValueError(f"not a permutation of 1..{len(pi)}: {_echo(repr(pi))}")
     nodes: list[tuple[int, int]] = []
     todo = components(pi)[::-1]  # indecomposable parts still to unfold, leftmost last
     while todo:
@@ -437,7 +437,7 @@ def _require_member(pi: Permutation) -> list[tuple[int, int]]:
         # For a member, n was inserted before reduced[r], its j-th LR-max.
         j = len(lr_maxima(reduced[: r + 1]))
         if insert_largest(reduced, j) != p:
-            raise ValueError(f"not (3142,2-41-3)-avoiding: {format_perm(pi)}")
+            raise ValueError(f"not (3142,2-41-3)-avoiding: {_echo(format_perm(pi))}")
         parts = components(reduced)
         nodes.append((j, len(parts)))
         todo.extend(reversed(parts))
@@ -508,6 +508,12 @@ def one_step_expansions(pi: Permutation) -> list[Permutation]:
 # ---------------------------------------------------------------------------
 
 
+def _echo(text: str) -> str:
+    """`text` as a diagnostic repeats it: whole up to 60 characters, else its
+    first 60 and its length, so one bad input line makes one short line."""
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
+
+
 def format_perm(pi: Permutation) -> str:
     """Space-separated one-line notation; the empty permutation prints as "e"."""
     return " ".join(map(str, pi)) if pi else "e"
@@ -522,8 +528,8 @@ def parse_perm(text: str) -> Permutation:
     if len(tokens) == 1:
         tokens = text  # compact form: one digit each
     if not (text.isascii() and all(map(str.isdigit, tokens))):
-        raise ValueError(f"malformed permutation: {text!r}")
+        raise ValueError(f"malformed permutation: {_echo(repr(text))}")
     values = tuple(map(int, tokens))
     if sorted(values) != list(range(1, len(values) + 1)):
-        raise ValueError(f"not a permutation of 1..{len(values)}: {text!r}")
+        raise ValueError(f"not a permutation of 1..{len(values)}: {_echo(repr(text))}")
     return values

@@ -42,8 +42,6 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-import mpmath
-
 __all__ = [
     "RationalSeries",
     "EquationSpec",
@@ -576,7 +574,8 @@ def series(name: str, order: int) -> RationalSeries:
 
 
 # ---------------------------------------------------------------------------
-# Asymptotics (mpmath, 30 significant digits whatever the caller's precision)
+# Asymptotics (mpmath, imported on first use; 30 significant digits whatever
+# the caller's precision)
 # ---------------------------------------------------------------------------
 
 
@@ -590,6 +589,8 @@ class SingularityEstimate:
 def _dq(a: int, b: int):
     """The partial derivative d^a/dx^a d^b/dz^b of the quartic Q, as an
     mpmath-evaluable callable."""
+    import mpmath
+
     terms = [
         (c * math.perm(i, a) * math.perm(j, b), i - a, j - b)
         for (i, j), c in B3_EQUATION.coeffs
@@ -599,7 +600,6 @@ def _dq(a: int, b: int):
 
 
 @lru_cache(maxsize=1)
-@mpmath.workdps(30)
 def b3_singularity() -> SingularityEstimate:
     """Dominant singularity of the quartic's branch through the origin.
 
@@ -609,52 +609,58 @@ def b3_singularity() -> SingularityEstimate:
     [x^n] ~ gamma * rho^n / (2 sqrt(pi n^3)).  rho is validated against the
     order-200 coefficient ratio (must agree within 1%).
     """
-    b3 = series(B3, 201)
-    ratio = mpmath.mpf(b3[201]) / b3[200]
-    x0 = 1 / ratio
-    # Seed z by the truncated series a touch inside the radius.
-    xs = x0 * (1 - mpmath.mpf(1) / 50)
-    z0 = mpmath.fsum(b3[k] * xs**k for k in range(202))
-    q, qx, qz, qzz, qxz = _dq(0, 0), _dq(1, 0), _dq(0, 1), _dq(0, 2), _dq(1, 1)
-    x, z = x0, z0
-    for _ in range(200):
-        f1, f2 = q(x, z), qz(x, z)
-        j11, j12 = qx(x, z), qz(x, z)
-        j21, j22 = qxz(x, z), qzz(x, z)
-        det = j11 * j22 - j12 * j21
-        if det == 0:
-            raise ArithmeticError("singular Jacobian in singularity solver")
-        dx = (f1 * j22 - f2 * j12) / det
-        dz = (j11 * f2 - j21 * f1) / det
-        # Damp long steps to stay on the branch.
-        scale = min(1, mpmath.mpf("0.1") / max(abs(dx), abs(dz), mpmath.mpf("1e-30")))
-        x, z = x - dx * scale, z - dz * scale
-        if abs(dx) + abs(dz) < mpmath.mpf("1e-28"):
-            break
-    else:
-        raise ArithmeticError("singularity solver did not converge")
-    rho = 1 / x
-    gamma = mpmath.sqrt(2 * x * qx(x, z) / qzz(x, z))
-    if abs(rho / ratio - 1) > mpmath.mpf("0.01"):
-        raise ArithmeticError(
-            f"growth rate {rho} disagrees with empirical ratio {ratio}"
-        )
-    return SingularityEstimate(tau=z, rho=rho, gamma=gamma)
+    import mpmath
+
+    with mpmath.workdps(30):
+        b3 = series(B3, 201)
+        ratio = mpmath.mpf(b3[201]) / b3[200]
+        x0 = 1 / ratio
+        # Seed z by the truncated series a touch inside the radius.
+        xs = x0 * (1 - mpmath.mpf(1) / 50)
+        z0 = mpmath.fsum(b3[k] * xs**k for k in range(202))
+        q, qx, qz, qzz, qxz = _dq(0, 0), _dq(1, 0), _dq(0, 1), _dq(0, 2), _dq(1, 1)
+        x, z = x0, z0
+        for _ in range(200):
+            f1, f2 = q(x, z), qz(x, z)
+            j11, j12 = qx(x, z), qz(x, z)
+            j21, j22 = qxz(x, z), qzz(x, z)
+            det = j11 * j22 - j12 * j21
+            if det == 0:
+                raise ArithmeticError("singular Jacobian in singularity solver")
+            dx = (f1 * j22 - f2 * j12) / det
+            dz = (j11 * f2 - j21 * f1) / det
+            # Damp long steps to stay on the branch.
+            scale = min(1, mpmath.mpf("0.1") / max(abs(dx), abs(dz), mpmath.mpf("1e-30")))
+            x, z = x - dx * scale, z - dz * scale
+            if abs(dx) + abs(dz) < mpmath.mpf("1e-28"):
+                break
+        else:
+            raise ArithmeticError("singularity solver did not converge")
+        rho = 1 / x
+        gamma = mpmath.sqrt(2 * x * qx(x, z) / qzz(x, z))
+        if abs(rho / ratio - 1) > mpmath.mpf("0.01"):
+            raise ArithmeticError(
+                f"growth rate {rho} disagrees with empirical ratio {ratio}"
+            )
+        return SingularityEstimate(tau=z, rho=rho, gamma=gamma)
 
 
-with mpmath.workdps(30):
-    # (c, k, e, r) of each printed estimate c sqrt(k/(pi n^e)) r^n.
-    _RT2 = mpmath.sqrt(2)
-    _PRINTED = {
-        "A": (mpmath.mpf(2) / 27, mpmath.mpf(3), 5, mpmath.mpf(27) / 4),
-        P: (mpmath.mpf(46) / 729, mpmath.mpf(23), 5, mpmath.mpf(23) / 4),
-        PPRIME: (mpmath.mpf(529) / 1458, mpmath.mpf(23), 3, mpmath.mpf(23) / 4),
-        B1: (mpmath.mpf(1) / 8, mpmath.mpf(3), 3, mpmath.mpf(3)),
-        B2: (1 / (8 * _RT2 + 12), 4 + _RT2, 3, 7 / (2 * _RT2 - 1)),
-    }
+@lru_cache(maxsize=1)
+def _printed() -> dict:
+    """(c, k, e, r) of each printed estimate c sqrt(k/(pi n^e)) r^n."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        rt2 = mpmath.sqrt(2)
+        return {
+            "A": (mpmath.mpf(2) / 27, mpmath.mpf(3), 5, mpmath.mpf(27) / 4),
+            P: (mpmath.mpf(46) / 729, mpmath.mpf(23), 5, mpmath.mpf(23) / 4),
+            PPRIME: (mpmath.mpf(529) / 1458, mpmath.mpf(23), 3, mpmath.mpf(23) / 4),
+            B1: (mpmath.mpf(1) / 8, mpmath.mpf(3), 3, mpmath.mpf(3)),
+            B2: (1 / (8 * rt2 + 12), 4 + rt2, 3, 7 / (2 * rt2 - 1)),
+        }
 
 
-@mpmath.workdps(30)
 def asymptotic(name: str, n: int):
     """First-order coefficient estimates, exactly as conventionally printed.
 
@@ -668,12 +674,15 @@ def asymptotic(name: str, n: int):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if name in _PRINTED:
-        c, k, e, r = _PRINTED[name]
-        return c * mpmath.sqrt(k / (mpmath.pi * mpmath.mpf(n) ** e)) * r**n
-    if name == B3:
-        est = b3_singularity()
-        return est.gamma * est.rho**n / (2 * mpmath.sqrt(mpmath.pi * mpmath.mpf(n) ** 3))
+    import mpmath
+
+    with mpmath.workdps(30):
+        if name in _printed():
+            c, k, e, r = _printed()[name]
+            return c * mpmath.sqrt(k / (mpmath.pi * mpmath.mpf(n) ** e)) * r**n
+        if name == B3:
+            est = b3_singularity()
+            return est.gamma * est.rho**n / (2 * mpmath.sqrt(mpmath.pi * mpmath.mpf(n) ** 3))
     raise ValueError(f"unknown asymptotic name: {name!r}")
 
 

@@ -34,8 +34,6 @@ from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import combinations, permutations
 
-import mpmath
-
 from .maps import CombinatorialMap, canonical_code, tree_to_map, validate_map
 from .perms import (
     M,
@@ -627,6 +625,7 @@ def check_asymptotics():
     PPRIME carries the wrong power of n), so those checks fail; the
     witnesses document the measured errors.
     """
+    import mpmath
 
     def rel_error(name: str, n: int) -> float:
         est = asymptotic(name, n)

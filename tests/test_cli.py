@@ -2,10 +2,13 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 
+import mapscope
 from mapscope.cli import main
 from mapscope.trees import (
     format_tree,
@@ -388,6 +391,72 @@ def test_malformed_map_record(capsys, monkeypatch):
         assert code == 2
         assert out == ""
         assert err.startswith("mapscope: line 1: malformed map record") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["stats", "--object", "perm"], "(" * 100000),
+        (["stats", "--object", "perm"], " ".join(map(str, [*range(1, 50001), 1]))),
+        (["biject", "--from", "perm", "--to", "tree"],
+         " ".join(map(str, [3, 1, 4, 2, *range(5, 20001)]))),
+    ],
+    ids=["malformed", "repeated-letter", "non-member"],
+)
+def test_long_bad_permutation_makes_one_short_line(argv, line, capsys, monkeypatch):
+    'A bad permutation line of any length exits 2 with one stderr line under 200 bytes'
+    code, out, err = run(argv, capsys, monkeypatch, stdin=line + "\n")
+    assert (code, out) == (2, "")
+    assert err.startswith("mapscope: line 1: ") and err.count("\n") == 1
+    assert len(err.encode()) < 200
+    assert err.endswith(" characters)\n")
+
+
+def test_startup_loads_no_mpmath():
+    'Commands without asymptotics never import mpmath; every submodule is loaded eagerly'
+    code = (
+        "import io, sys\n"
+        "import mapscope, mapscope.cli\n"
+        "from mapscope.cli import build_parser, main\n"
+        "build_parser()\n"
+        "sys.stdin = io.StringIO('(2 (1) (1))\\n')\n"
+        "assert main(['biject', '--from', 'tree', '--to', 'perm']) == 0\n"
+        "sys.stdin = io.StringIO('2 1 3\\n')\n"
+        "assert main(['stats', '--object', 'perm']) == 0\n"
+        "assert main(['enumerate', '--object', 'maps', '--size', '5', '--count-only']) == 0\n"
+        "assert 'mpmath' not in sys.modules\n"
+        "names = ('cli', 'trees', 'maps', 'perms', 'series', 'verify')\n"
+        "assert all(f'mapscope.{n}' in sys.modules for n in names)\n"
+        "assert main(['asympt', '--name', 'b3', '--at', '1000']) == 0\n"
+    )
+    src = os.path.dirname(os.path.dirname(mapscope.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "3.40280428783e+621"
+
+
+def test_reused_parser_keeps_no_state(capsys, monkeypatch):
+    'Successive main() calls in one process parse independently of each other'
+    err = io.StringIO()
+    monkeypatch.setattr(sys, "stderr", err)
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--object", "widgets", "--size", "3"])
+    assert exc.value.code == 2 and "invalid choice: 'widgets'" in err.getvalue()
+    monkeypatch.undo()
+    count = ["enumerate", "--object", "trees", "--size", "6", "--count-only"]
+    assert run(count + ["--filter", "primitive"], capsys) == (0, "25\n", "")
+    assert run(count, capsys) == (0, "91\n", "")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: mapscope")
+    assert run(count, capsys) == (0, "91\n", "")
+    for size in (3, 4):
+        code, out, _ = run(["verify", "--suite", "counts", "--max-size", str(size),
+                            "--format", "json"], capsys)
+        assert (code, json.loads(out)["params"]) == (0, {"n_max": size})
 
 
 @pytest.mark.parametrize(
