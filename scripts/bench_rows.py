@@ -10,10 +10,11 @@ alike.  Library rows run in-process, with every
 `lru_cache` of `mapscope.series`, `mapscope.trees` and `mapscope.verify`
 cleared before each run, so each run pays what a cold process pays.  The
 per-object rows (map stats lines, tree -> perm -> tree and tree text round
-trips, the deep member's rows) time only the calls: their inputs are built
-once, before any row.  The CLI rows run `python -m mapscope.cli` as a
-subprocess, interpreter start-up included; the cold-start row runs
-`python -c "import mapscope.cli"`, start-up and imports alone.
+trips, the deep member's rows, the seeded 100-node tree lines) time only
+the calls: their inputs are built once, before any row.  The CLI rows run
+`python -m mapscope.cli` as a subprocess, interpreter start-up included;
+the cold-start row runs `python -c "import mapscope.cli"`, start-up and
+imports alone.
 `--skip ROW` (repeatable) leaves out the row of that name, e.g. one a tree
 is too slow to run.
 Prints one JSON document: a machine header, then per label and row the
@@ -27,6 +28,7 @@ import importlib
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -44,6 +46,21 @@ CLI_ROWS = [
 REPEAT = 5
 
 
+def _random_tree_text(rng: random.Random, nodes: int) -> str:
+    """A beta(1,0)-tree of `nodes` nodes as text.  Node i > 0 becomes the
+    last child of a node drawn among 0..i-1; leaves carry 1, the root its
+    children's sum, any other node a label drawn from 1..children's sum."""
+    kids: list[list[int]] = [[] for _ in range(nodes)]
+    for i in range(1, nodes):
+        kids[rng.randrange(i)].append(i)
+    labels, texts = [0] * nodes, [""] * nodes
+    for i in reversed(range(nodes)):
+        total = sum(labels[k] for k in kids[i])
+        labels[i] = 1 if not kids[i] else total if i == 0 else rng.randint(1, total)
+        texts[i] = "(" + " ".join([str(labels[i]), *(texts[k] for k in kids[i])]) + ")"
+    return texts[0]
+
+
 def _library_rows():
     # The package's `series` function shadows the submodule's name.
     series = importlib.import_module("mapscope.series")
@@ -59,6 +76,9 @@ def _library_rows():
     # The decreasing member of 1,000 letters and its tree, the path on 1,001 nodes.
     deep = tuple(range(1000, 0, -1))
     path = trees.parse_tree("(1" * 1001 + ")" * 1001)
+    # 200 seeded 100-node tree lines, the size of the stream's slowest objects.
+    rng = random.Random(21)
+    hundred = [_random_tree_text(rng, 100) for _ in range(200)]
 
     return {
         "check_asymptotics()": verify.check_asymptotics,
@@ -90,6 +110,15 @@ def _library_rows():
         "tree_to_perm, 1,001-node path": lambda: perms.tree_to_perm(path),
         "parse_tree + format_tree, all 9-node trees": lambda: [
             trees.format_tree(trees.parse_tree(text)) for text in nine_texts
+        ],
+        "parse_tree, 200 seeded 100-node trees": lambda: [
+            trees.parse_tree(text) for text in hundred
+        ],
+        "tree_to_map(parse_tree(.)), 200 seeded 100-node trees": lambda: [
+            maps.tree_to_map(trees.parse_tree(text)) for text in hundred
+        ],
+        "cli._tree_stat_row(parse_tree(.)), 200 seeded 100-node trees": lambda: [
+            cli._tree_stat_row(trees.parse_tree(text)) for text in hundred
         ],
     }, [
         f

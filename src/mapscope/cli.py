@@ -17,7 +17,7 @@ import csv
 import dataclasses
 import json
 import sys
-from functools import cache, partial
+from functools import cache
 from operator import itemgetter
 
 from .series import (
@@ -124,8 +124,7 @@ def _emit(rows, fields, fmt: str, text=None) -> None:
         writer.writerows(rows)
         return
     if fmt == "json":
-        dumps = partial(json.dumps, separators=(", ", ": "))
-        text = itemgetter("map") if fields == ["map"] else dumps
+        text = itemgetter("map") if fields == ["map"] else json.dumps
     for row in rows:
         line = text(row) if text else " ".join(f"{k}={row[k]}" for k in fields)
         out.write(f"{line}\n")

@@ -101,18 +101,18 @@ def validate_map(m: CombinatorialMap) -> str:
             return f"alpha not fixed-point-free (dart {d})"
         if m.alpha[m.alpha[d]] != d:
             return f"alpha not an involution (dart {d})"
-    # Transitivity of <alpha, sigma> on darts.
-    seen = {0}
-    stack = [0]
+    # Transitivity of <alpha, sigma> on darts: alpha must connect the sigma-orbits.
+    at, vertices = m._vertex_of, m.vertices
+    reached, stack = {0}, [0]
     while stack:
-        d = stack.pop()
-        for e in (m.alpha[d], m.sigma[d]):
-            if e not in seen:
-                seen.add(e)
-                stack.append(e)
-    if len(seen) != n:
+        for d in vertices[stack.pop()]:
+            w = at[m.alpha[d]]
+            if w not in reached:
+                reached.add(w)
+                stack.append(w)
+    if len(reached) != len(vertices):
         return "map not connected (alpha,sigma not transitive on darts)"
-    v, e, f = len(m.vertices), n // 2, len(m.faces)
+    v, e, f = len(vertices), n // 2, len(m.faces)
     if v - e + f != 2:
         return f"not planar: V-E+F = {v}-{e}+{f} = {v - e + f} != 2"
     return "ok"
@@ -173,7 +173,7 @@ def canonical_code(m: CombinatorialMap) -> bytes:
     for d in order:
         flat.append(rank[m.sigma[d]])
         flat.append(rank[m.alpha[d]])
-    return b",".join(str(x).encode() for x in flat)
+    return ",".join(map(str, flat)).encode()
 
 
 # ---------------------------------------------------------------------------
@@ -246,15 +246,8 @@ def tree_to_map(t: LabeledTree) -> CombinatorialMap:
 
 
 def format_map(m: CombinatorialMap) -> str:
-    return json.dumps(
-        {
-            "n_darts": m.n_darts,
-            "alpha": list(m.alpha),
-            "sigma": list(m.sigma),
-            "root": m.root,
-        },
-        separators=(", ", ": "),
-    )
+    obj = {"n_darts": m.n_darts, "alpha": list(m.alpha), "sigma": list(m.sigma), "root": m.root}
+    return json.dumps(obj)
 
 
 def _json_int(value) -> int:
@@ -266,7 +259,9 @@ def _json_int(value) -> int:
 def _json_ints(value) -> tuple[int, ...]:
     if type(value) is not list:
         raise ValueError(f"expected a list, got {json.dumps(value)}")
-    return tuple(map(_json_int, value))
+    if set(map(type, value)) <= {int}:
+        return tuple(value)
+    return tuple(map(_json_int, value))  # raises, naming the first bad value
 
 
 def parse_map(text: str) -> CombinatorialMap:

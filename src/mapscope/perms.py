@@ -411,8 +411,8 @@ def _require_member(pi: Permutation) -> list[tuple[int, int]]:
     components of pi; an indecomposable p != (1,) gives a node labeled with
     the insertion index j of p's largest letter, whose children come from
     the word p unfolds to.  Raises ValueError unless pi is a permutation in
-    the class: the unfold stops at the first level insert_largest does not
-    rebuild."""
+    the class: the unfold stops at the first level insert_largest would not
+    rebuild, as certified by cut points without the rebuild (see below)."""
     if sorted(pi) != list(range(1, len(pi) + 1)):
         raise ValueError(f"not a permutation of 1..{len(pi)}: {_echo(repr(pi))}")
     nodes: list[tuple[int, int]] = []
@@ -434,10 +434,16 @@ def _require_member(pi: Permutation) -> list[tuple[int, int]]:
                 a = k
         # Undo the rearrangement, B~ A~ n C~ -> A B n C, and drop n.
         reduced = _shift(p[r - a : r], a + 1 - n) + _shift(p[: r - a] + p[r + 1 :], a)
-        # For a member, n was inserted before reduced[r], its j-th LR-max.
-        j = len(lr_maxima(reduced[: r + 1]))
-        if insert_largest(reduced, j) != p:
+        # insert_largest(reduced, j) puts n before the j-th LR-max, at q, and
+        # lifts the prefix up to the last cut point a' <= q (reduced[:a'] holds
+        # 1..a'), so it rebuilds p iff q = r and a' = a.  The latter always
+        # holds: a is a cut point, and one at c in a+1..r would make p[:c-a]
+        # hold 1..c-a, splitting the indecomposable p.  So reduced[r] (there
+        # is one: n is not p's last letter) must be an LR-max, the j-th.
+        maxima = lr_maxima(reduced[: r + 1])
+        if maxima[-1] != r + 1:
             raise ValueError(f"not (3142,2-41-3)-avoiding: {_echo(format_perm(pi))}")
+        j = len(maxima)
         parts = components(reduced)
         nodes.append((j, len(parts)))
         todo.extend(reversed(parts))
@@ -452,7 +458,7 @@ def _require_member(pi: Permutation) -> list[tuple[int, int]]:
 def is_primitive_perm(pi: Permutation) -> bool:
     """Class member with no occurrence of the mesh pattern M."""
     _require_member(pi)
-    return occurrences(M, pi) == 0
+    return avoids(pi, [M])
 
 
 def reduce_to_primitive(pi: Permutation) -> Permutation:
@@ -463,10 +469,10 @@ def reduce_to_primitive(pi: Permutation) -> Permutation:
     _require_member(pi)
     current = pi
     while True:
-        occs = occurrence_positions(M, current)
-        if not occs:
+        block = next(_occurrence_blocks(M, current), None)  # the first, lexicographically
+        if block is None:
             return current
-        i, j = occs[0]
+        i, j = block[0]
         current = flatten(current[:j] + current[j + 1 :])
         if not in_class(current):
             raise AssertionError(

@@ -11,13 +11,19 @@ label* iff it is a leaf, or its label equals the sum of its children's
 labels.  (A leaf can only carry label 1, which is also the largest label it
 could carry; the map-side cross-checks in `mapscope.verify` validate the
 convention.)
+
+Each tree is checked at most once: `_require_valid`, the guard of every
+function that needs a valid tree, reads the verdict a tree carries
+(`LabeledTree._problem`), which `parse_tree` and `select_trees` fill in as
+they build.  `validate_tree` and `is_valid_tree` never read it: they walk
+the tree on every call.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterator, Optional
 
@@ -45,12 +51,26 @@ __all__ = [
 ]
 
 
+_setattr = object.__setattr__
+
+
 @dataclass(frozen=True, eq=False)
 class LabeledTree:
     """Immutable rooted plane tree with a positive integer label per node."""
 
     label: int
     children: tuple["LabeledTree", ...] = ()
+
+    def __init__(self, label: int, children: tuple["LabeledTree", ...] = ()) -> None:
+        # As the generated __init__ does, with object.__setattr__ bound once;
+        # writing self.__dict__ instead would give every node a dict of its own.
+        _setattr(self, "label", label)
+        _setattr(self, "children", children)
+
+    @cached_property  # writes the instance __dict__, past the frozen __setattr__
+    def _problem(self) -> str:
+        """validate_tree(self), walked at most once per tree."""
+        return validate_tree(self)
 
     def __repr__(self) -> str:
         return f"LabeledTree({format_tree(self)!r})"
@@ -124,27 +144,33 @@ def postorder(t: LabeledTree) -> list[LabeledTree]:
     return order
 
 
+def _node_problem(label, kids, root: bool) -> Optional[str]:
+    """The rule a node with this label over the child tuple `kids` breaks,
+    as a root or not, or None: one statement of the rules for the walk and
+    the parser."""
+    if type(label) is not int or label < 1:  # a bool is no label
+        return f"label {label!r} is not a positive integer"
+    if not kids:
+        return f"leaf label {label} != 1" if label != 1 else None
+    s = sum(c.label for c in kids)
+    if root:
+        return f"root label {label} != children sum {s}" if label != s else None
+    return f"label {label} exceeds children sum {s}" if label > s else None
+
+
 def validate_tree(t: LabeledTree) -> str:
     """Return "ok", or a description of the first violated invariant.
 
     Nodes are checked in preorder and addressed by the path of child indices
     from the root, e.g. "root.0.2" is the third child of the root's first
-    child.
+    child.  Every call walks t: the memo `_require_valid` reads is never
+    consulted here.
     """
     stack = [t]
     while stack:
         s = stack.pop()
-        if type(s.label) is not int or s.label < 1:  # a bool is no label
-            msg = f"label {s.label!r} is not a positive integer"
-        elif not s.children:
-            if s.label == 1:
-                continue
-            msg = f"leaf label {s.label} != 1"
-        elif s is t and s.label != children_sum(s):
-            msg = f"root label {s.label} != children sum {children_sum(s)}"
-        elif s is not t and s.label > children_sum(s):
-            msg = f"label {s.label} exceeds children sum {children_sum(s)}"
-        else:
+        msg = _node_problem(s.label, s.children, s is t)
+        if msg is None:
             stack.extend(reversed(s.children))
             continue
         # Only now build the path.  Subtrees may be shared, but an earlier
@@ -162,9 +188,16 @@ def is_valid_tree(t: LabeledTree) -> bool:
 
 
 def _require_valid(t: LabeledTree) -> None:
-    msg = validate_tree(t)
+    """Raise ValueError unless t is valid; each tree is walked at most once."""
+    msg = t._problem
     if msg != "ok":
         raise ValueError(f"invalid tree: {msg}")
+
+
+def _valid_root(label: int, kids: tuple[LabeledTree, ...]) -> LabeledTree:
+    t = LabeledTree(label, kids)
+    _setattr(t, "_problem", "ok")  # known valid: no walk
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +349,9 @@ def select_trees(nodes: int, filters=()) -> Iterator[LabeledTree]:
         raise ValueError("empty tree not modeled")
     cap, rules = parse_filters(filters)
     bad_roots = {r.bad_root for r in rules}
-    forests = _forests(nodes - 1, cap, rules)
-    roots = (LabeledTree(sum(c.label for c in kids) or 1, kids) for kids in forests)
-    return (t for t in roots if t.label not in bad_roots)
+    # Each root is valid by construction: its label is its children's sum.
+    roots = ((sum(c.label for c in kids) or 1, kids) for kids in _forests(nodes - 1, cap, rules))
+    return (_valid_root(label, kids) for label, kids in roots if label not in bad_roots)
 
 
 def count_trees(nodes: int, filters=()) -> int:
@@ -422,35 +455,44 @@ def format_tree(t: LabeledTree) -> str:
 
 
 def parse_tree(text: str) -> LabeledTree:
-    """Parse the parenthesized tree format; raises ValueError with a position."""
-    n, pos, root = len(text), 0, None
+    """Parse the parenthesized tree format; raises ValueError with a position.
+    Each node's rule is checked as its ")" closes: a tree that passes them all
+    comes back marked valid."""
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split() + [""]  # "": the end
+    i, ok = 0, True
     open_nodes: list[tuple[int, list[LabeledTree]]] = []  # (label, children so far)
     while True:
-        while pos < n and text[pos].isspace():
-            pos += 1
-        if root is not None:
-            if pos == n:
-                return root
-            expected = "end of input"
-        elif pos < n and text[pos] == "(":
-            pos += 1
-            while pos < n and text[pos].isspace():
-                pos += 1
-            start = pos
-            while pos < n and "0" <= text[pos] <= "9":
-                pos += 1
-            if pos > start:
-                open_nodes.append((int(text[start:pos]), []))
-                continue
-            expected = "integer label"
-        elif open_nodes and pos < n and text[pos] == ")":
-            pos += 1
+        tok = tokens[i]
+        if tok == "(":
+            label = tokens[i + 1]
+            if not (label.isdigit() and label.isascii()):
+                k = len(label) - len(label.lstrip("0123456789"))  # its leading digits
+                if k:
+                    int(label[:k])  # read as a label is: one past int()'s digit limit fails here
+                raise _parse_error(text, tokens, i + 1, k, "')'" if k else "integer label")
+            open_nodes.append((int(label), []))
+            i += 2
+        elif tok == ")" and open_nodes:
             label, kids = open_nodes.pop()
-            if open_nodes:
-                open_nodes[-1][1].append(LabeledTree(label, tuple(kids)))
-            else:
-                root = LabeledTree(label, tuple(kids))
-            continue
+            kids = tuple(kids)
+            ok = ok and _node_problem(label, kids, not open_nodes) is None
+            i += 1
+            if not open_nodes:
+                break
+            open_nodes[-1][1].append(LabeledTree(label, kids))
         else:
-            expected = "')'" if open_nodes else "'('"
-        raise ValueError(f"parse error at position {pos}: expected {expected}")
+            raise _parse_error(text, tokens, i, 0, "')'" if open_nodes else "'('")
+    if tokens[i]:
+        raise _parse_error(text, tokens, i, 0, "end of input")
+    return (_valid_root if ok else LabeledTree)(label, kids)
+
+
+def _parse_error(text: str, tokens: list[str], index: int, offset: int, expected: str):
+    """The parse error `offset` characters into token `index` of text, the
+    last token, "", being its end.  Only whitespace lies between tokens, so
+    each is found from the end of the one before."""
+    pos = 0
+    for tok in tokens[:index]:
+        pos = text.find(tok, pos) + len(tok)
+    pos = text.find(tokens[index], pos) + offset if tokens[index] else len(text)
+    return ValueError(f"parse error at position {pos}: expected {expected}")

@@ -12,6 +12,7 @@ from mapscope.perms import (
     N,
     P3142,
     P2413_VINC,
+    _require_member,
     avoids,
     components,
     direct_sum,
@@ -97,6 +98,41 @@ def test_in_class_matches_brute_force_at_length_8():
     assert len(members) == 9614
     for pi in itertools.permutations(range(1, 9)):
         assert in_class(pi) == (pi in members), pi
+
+
+def _rebuilt_unfold(pi):
+    """_require_member's nodes or error message, certifying each level by
+    rebuilding it with insert_largest."""
+    if sorted(pi) != list(range(1, len(pi) + 1)):
+        return f"not a permutation of 1..{len(pi)}: {pi!r}"
+    nodes, todo = [], components(pi)[::-1]
+    while todo:
+        p = todo.pop()
+        n = len(p)
+        if n == 1:
+            nodes.append((1, 0))
+            continue
+        r = p.index(n)
+        a = max(k for k in range(r + 1) if min(p[r - k : r], default=n) == n - k)  # top values
+        reduced = flatten(p[r - a : r]) + tuple(v + a for v in flatten(p[: r - a] + p[r + 1 :]))
+        j = len(lr_maxima(reduced[: r + 1]))
+        if insert_largest(reduced, j) != p:
+            return f"not (3142,2-41-3)-avoiding: {format_perm(pi)}"
+        parts = components(reduced)
+        nodes.append((j, len(parts)))
+        todo.extend(reversed(parts))
+    return nodes
+
+
+def test_cut_point_certificate_matches_the_rebuild():
+    'The unfold certified by cut points agrees with rebuilding every level, n <= 8'
+    for n in range(9):
+        for pi in itertools.permutations(range(1, n + 1)):
+            try:
+                got = _require_member(pi)
+            except ValueError as err:
+                got = str(err)
+            assert got == _rebuilt_unfold(pi), pi
 
 
 @pytest.mark.parametrize("pi", [(3, 1, 4, 2), (2, 4, 1, 3), (1, 4, 2, 5, 3), (5, 3, 1, 6, 4, 2)])

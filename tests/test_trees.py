@@ -3,6 +3,7 @@ from itertools import combinations
 from mapscope.series import B1, B2, B3, primitive_maps_with_edges, series
 from mapscope.trees import (
     LabeledTree,
+    _require_valid,
     _subtrees_free_top,
     children_sum,
     count_trees,
@@ -102,6 +103,103 @@ def test_parse_errors_carry_position():
             parse_tree(text)
     with pytest.raises(ValueError, match="^parse error at position 1: expected integer label$"):
         parse_tree("(\u00b2)")
+
+
+# Parse diagnostics, exactly: the position counts characters of the text.
+PARSE_DIAGNOSTICS = [  # (text, position, expected)
+    ("", 0, "'('"),
+    (")", 0, "'('"),
+    (" \t\n", 3, "'('"),
+    ("(", 1, "integer label"),
+    ("()", 1, "integer label"),
+    ("((1))", 1, "integer label"),
+    ("(x)", 1, "integer label"),
+    ("(\u00b2)", 1, "integer label"),
+    ("(\u0662 (\u0661) (\u0661))", 1, "integer label"),
+    ("(1", 2, "')'"),
+    ("(1x)", 2, "')'"),
+    ("(1\u00b2)", 2, "')'"),
+    ("( 1 2)", 4, "')'"),
+    ("(12x3)", 3, "')'"),
+    ("(1 (1) ", 7, "')'"),
+    ("(1) x", 4, "end of input"),
+    ("(1)(1)", 3, "end of input"),
+    ("(1))", 3, "end of input"),
+]
+
+
+@pytest.mark.parametrize("text,position,expected", PARSE_DIAGNOSTICS)
+def test_parse_diagnostics_are_pinned(text, position, expected):
+    with pytest.raises(ValueError) as err:
+        parse_tree(text)
+    assert str(err.value) == f"parse error at position {position}: expected {expected}"
+
+
+def test_parse_skips_outer_whitespace():
+    t = parse_tree(" (2 (1) (1))\t")
+    assert format_tree(t) == "(2 (1) (1))"
+    assert t._problem == "ok"
+
+
+def test_parse_marks_only_valid_trees():
+    'A tree that breaks a rule comes back unmarked; the guard then walks it and names the node'
+    good, bad = parse_tree("(3 (1) (2 (1) (1)))"), parse_tree("(3 (1) (2 (1 (1))))")
+    assert good.__dict__.get("_problem") == "ok"
+    assert "_problem" not in bad.__dict__
+    with pytest.raises(ValueError, match=r"^invalid tree: root.1: label 2 exceeds children sum 1$"):
+        _require_valid(bad)
+    assert bad._problem == validate_tree(bad)
+
+
+def test_memo_agrees_with_a_fresh_walk():
+    'On parsed texts with perturbed labels the guard raises exactly when validate_tree fails'
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def tree_texts(draw):
+        n = draw(st.integers(1, 12))
+        kids: list[list[int]] = [[] for _ in range(n)]
+        for i in range(1, n):
+            kids[draw(st.integers(0, i - 1))].append(i)
+        built: list = [None] * n
+        for i in reversed(range(n)):
+            children = tuple(built[k] for k in kids[i])
+            total = sum(c.label for c in children)
+            if not children:
+                label = 1
+            elif i == 0:
+                label = total
+            else:
+                label = draw(st.integers(1, max(total, 1)))
+            if draw(st.integers(0, 3)) == 0:  # 0, 2 on a leaf, too large, a root off its sum
+                label = draw(st.sampled_from([0, 2, total + 1, max(total - 1, 0)]))
+            built[i] = LabeledTree(label, children)
+        return format_tree(built[0])
+
+    @hypothesis.settings(max_examples=400, deadline=None, database=None)
+    @hypothesis.given(tree_texts())
+    def agrees(text):
+        t = parse_tree(text)
+        fresh = validate_tree(t)
+        if fresh == "ok":
+            _require_valid(t)
+        else:
+            with pytest.raises(ValueError) as err:
+                _require_valid(t)
+            assert str(err.value) == f"invalid tree: {fresh}"
+        assert t._problem == fresh == validate_tree(t)
+
+    agrees()
+
+
+def test_frozen_tree_rejects_assignment():
+    from dataclasses import FrozenInstanceError
+
+    t = LabeledTree(label=2, children=(leaf(), leaf()))
+    with pytest.raises(FrozenInstanceError):
+        t.label = 3
+    assert format_tree(t) == "(2 (1) (1))"
 
 
 def test_stats_single_node():
@@ -254,6 +352,15 @@ def test_every_single_filter_lists_what_it_counts():
     'At 10 nodes the pruned listing of every single filter holds as many trees as the DP counts'
     for spec in FILTER_PREDICATES:
         assert sum(1 for _ in select_trees(10, [spec])) == count_trees(10, [spec]), spec
+
+
+def test_filtered_enumeration_yields_valid_trees():
+    'Every root select_trees marks valid walks as "ok", under each single filter'
+    for spec in FILTER_PREDICATES:
+        for n in range(1, 8):
+            for t in select_trees(n, [spec]):
+                assert t._problem == "ok"
+                assert validate_tree(t) == "ok", (spec, format_tree(t))
 
 
 def test_filter_specs_in_any_order_share_one_cache():
