@@ -1,14 +1,16 @@
-"""Time the rows of the perf record; median of REPEAT runs.
+"""Time the rows of the perf record; median of REPEAT runs, each the best of CALLS.
 
     python scripts/bench_rows.py [--skip ROW ...] LABEL=SRC [LABEL=SRC ...]
 
 Each SRC is a directory that holds the `mapscope` package (a checkout's
-`src`).  Each repeat times every row once per label, each label in a fresh
+`src`).  Each repeat runs every row of every label, each label in a fresh
 interpreter, so two trees never share imports or caches; the labels take
 turns, in alternating order, so a drift in machine speed reaches them all
-alike.  Library rows run in-process, with every
-`lru_cache` of `mapscope.series`, `mapscope.trees` and `mapscope.verify`
-cleared before each run, so each run pays what a cold process pays.  The
+alike.  A run of a row is the least of CALLS back-to-back calls, so one slow
+moment of the machine does not set it.  Library rows run in-process, with
+every `lru_cache` of `mapscope.series`, `mapscope.trees` and `mapscope.verify`
+cleared before each call, so each call pays what a cold process pays (the
+imports aside: the first call of a row may import mpmath).  The
 per-object rows (map stats lines, tree -> perm -> tree and tree text round
 trips, the deep member's rows, the seeded 100-node tree lines) time only
 the calls: their inputs are built once, before any row.  The CLI rows run
@@ -44,6 +46,7 @@ CLI_ROWS = [
     ["enumerate", "--object", "maps", "--size", "10", "--filter", "primitive", "--count-only"],
 ]
 REPEAT = 5
+CALLS = 3
 
 
 def _random_tree_text(rng: random.Random, nodes: int) -> str:
@@ -89,6 +92,8 @@ def _library_rows():
         'series("P", 400)': lambda: series.series("P", 400),
         'series("B1", 1000)': lambda: series.series("B1", 1000),
         'series("B2", 1000)': lambda: series.series("B2", 1000),
+        'series("B1", 10000)': lambda: series.series("B1", 10000),
+        'series("B2", 10000)': lambda: series.series("B2", 10000),
         'series("B3", 800)': lambda: series.series("B3", 800),
         'series("B3", 10000)': lambda: series.series("B3", 10000),
         "solve_equation(B3_EQUATION, 800)": lambda: series.solve_equation(
@@ -98,6 +103,7 @@ def _library_rows():
         "solve_equation(B3_EQUATION, 201)": lambda: series.solve_equation(
             series.B3_EQUATION, 201
         ),
+        "b3_singularity(), cache cleared": series.b3_singularity,
         "count_trees(10)": lambda: trees.count_trees(10),
         "cli._map_stat_row, maps of all 8-node trees": lambda: [
             cli._map_stat_row(maps.parse_map(line)) for line in map_lines
@@ -128,29 +134,39 @@ def _library_rows():
     ]
 
 
+def _best(fn, before) -> float:
+    """Seconds of the fastest of CALLS calls of fn, each after before()."""
+    best = float("inf")
+    for _ in range(CALLS):
+        before()
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 def _time_rows(src: str, skip: list[str]) -> dict[str, float]:
     """Seconds of one run of every row not in `skip`."""
     sys.path.insert(0, src)
     rows, caches = _library_rows()
-    out = {}
-    for name, fn in rows.items():
-        if name in skip:
-            continue
+
+    def clear():
         for cache in caches:
             cache.cache_clear()
-        start = time.perf_counter()
-        fn()
-        out[name] = time.perf_counter() - start
+
+    out = {name: _best(fn, clear) for name, fn in rows.items() if name not in skip}
     env = {**os.environ, "PYTHONPATH": src}
     commands = {'python -c "import mapscope.cli"': ["-c", "import mapscope.cli"]}
     for args in CLI_ROWS:
         commands["mapscope " + " ".join(args)] = ["-m", "mapscope.cli", *args]
     for name, argv in commands.items():
-        if name in skip:
-            continue
-        start = time.perf_counter()
-        subprocess.run([sys.executable, *argv], env=env, stdout=subprocess.DEVNULL, check=True)
-        out[name] = time.perf_counter() - start
+        if name not in skip:
+            out[name] = _best(
+                lambda: subprocess.run(
+                    [sys.executable, *argv], env=env, stdout=subprocess.DEVNULL, check=True
+                ),
+                lambda: None,
+            )
     return out
 
 

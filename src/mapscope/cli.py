@@ -56,7 +56,6 @@ from .trees import (
     _require_valid,
     count_trees,
     format_tree,
-    iter_subtrees,
     parse_tree,
     select_trees,
     tree_stats,
@@ -93,15 +92,16 @@ def _reader(kind: str):
     """line -> the `kind` object on it, held to MAPSCOPE_MAX_SIZE (read once,
     here) in `enumerate --size` units before any conversion."""
     parse, size_of = {
-        "tree": (parse_tree, lambda t: sum(1 for _ in iter_subtrees(t))),
-        "map": (parse_map, lambda m: m.n_darts // 2),
-        "perm": (parse_perm, len),
+        # A parsed tree line holds one "(" per node: labels are ASCII digits.
+        "tree": (parse_tree, lambda line, t: line.count("(")),
+        "map": (parse_map, lambda line, m: m.n_darts // 2),
+        "perm": (parse_perm, lambda line, pi: len(pi)),
     }[kind]
     cap = _env_max_size()
 
     def read(line: str):
         obj = parse(line)
-        _check_size_cap(size_of(obj), cap)
+        _check_size_cap(size_of(line, obj), cap)
         return obj
 
     return parse if cap is None else read
@@ -287,7 +287,15 @@ def _cmd_series(args) -> int:
             coeff, est = row["coefficient"], asymptotic(asympt_name, row["n"])
             row["asymptotic"] = mpmath.nstr(est, 12)
             row["relative_error"] = "" if coeff == 0 else mpmath.nstr(abs(est / coeff - 1), 6)
-    _emit(rows, list(rows[0]), args.format, itemgetter("coefficient"))
+    # Coefficients pass CPython's int -> str digit limit (4300 by default)
+    # from order 5,196 on (series a); lift it while writing them, and only
+    # then: stdin parsing keeps it.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        _emit(rows, list(rows[0]), args.format, itemgetter("coefficient"))
+    finally:
+        sys.set_int_max_str_digits(limit)
     return 0
 
 

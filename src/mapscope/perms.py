@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .trees import LabeledTree, _require_valid, postorder
+from .trees import LabeledTree, _require_valid, _valid_root, postorder
 
 __all__ = [
     "Permutation",
@@ -402,7 +402,8 @@ def perm_to_tree(pi: Permutation) -> LabeledTree:
         del built[len(built) - m :]
         built.append(LabeledTree(label, tuple(reversed(kids))))
     kids = tuple(reversed(built))
-    return LabeledTree(max(1, sum(c.label for c in kids)), kids)  # e maps to (1)
+    # Certified by _require_member: marked valid, so no later guard walks it.
+    return _valid_root(max(1, sum(c.label for c in kids)), kids)  # e maps to (1)
 
 
 def _require_member(pi: Permutation) -> list[tuple[int, int]]:

@@ -23,15 +23,17 @@ Named series (`series(name, N)`):
 * P         -- A(x/(1+x)), the binomial transform of A's coefficients, read off
   their difference table (no `compose`);  PPRIME -- (1-x) P, P's first
   differences;
-* B1        -- (1+x-sqrt(1-2x-3x^2))/(2(1+x)) (labels <= 1, no only children);
-* B2        -- (1+3x+4x^2-sqrt(1-2x-7x^2))/(4+8x) (labels <= 2), the
-  solution of a quadratic functional equation; each square root costs O(N)
-  through the recurrence of f s' = f' s / 2 (`sqrt_series`);
-* B3        -- root of a quartic functional equation (labels <= 3) with
-  y(0) = 0, read off the P-recurrence of the quartic's order-4 linear ODE
-  (`_B3_RECURRENCE`): O(1) big-int by small-int products per coefficient.
-  `solve_equation(B3_EQUATION, N)` is the independent route, about N^2
-  big-int products to order N.
+* B1        -- (1+x-sqrt(1-2x-3x^2))/(2(1+x)) (labels <= 1, no only
+  children), the root of the quadratic `B1_EQUATION` with y(0) = 0;
+* B2        -- (1+3x+4x^2-sqrt(1-2x-7x^2))/(4+8x) (labels <= 2), the root
+  of the quadratic `B2_EQUATION` with y(0) = 0;
+* B3        -- the root of the quartic `B3_EQUATION` (labels <= 3) with
+  y(0) = 0.
+  Each B-series is read off the P-recurrence of its equation's linear ODE
+  (`_RECURRENCES`; order 2 for B1 and B2, 4 for B3): O(1) big-int by
+  small-int products per coefficient.  `solve_equation(B*_EQUATION, N)` is
+  the independent route, about N^2 big-int products to order N.  B3's
+  singularity is a root of its discriminant (`b3_singularity`).
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ __all__ = [
     "EquationSpec",
     "SingularityEstimate",
     "ZEILBERGER_CUBIC",
+    "B1_EQUATION",
     "B2_EQUATION",
     "B3_EQUATION",
     "SERIES_NAMES",
@@ -58,12 +61,24 @@ __all__ = [
     "p_coefficient",
     "solve_equation",
     "series",
-    "sqrt_series",
     "compose",
     "asymptotic",
     "b3_singularity",
     "exact_coefficient",
 ]
+
+
+A_FORMULA = "A_FORMULA"
+A_ZEIL = "A_ZEIL"
+A_HYP = "A_HYP"
+P = "P"
+PPRIME = "PPRIME"
+B1 = "B1"
+B2 = "B2"
+B3 = "B3"
+
+SERIES_NAMES = (A_FORMULA, A_ZEIL, A_HYP, P, PPRIME, B1, B2, B3)
+ASYMPT_NAMES = ("A", P, PPRIME, B1, B2, B3)
 
 
 def _exact(v) -> int | Fraction:
@@ -184,28 +199,6 @@ def _coerce(v, order: int) -> RationalSeries:
     return RationalSeries.poly([v], order)
 
 
-def sqrt_series(f: RationalSeries) -> RationalSeries:
-    """Series square root; requires f(0) = 1.
-
-    s = sqrt(f) solves f s' = f' s / 2, so 2k s_k = sum_{i>=1} f_i s_{k-i} (3i - 2k):
-    one product per nonzero f_i, linear in the order for a polynomial radicand.
-
-    >>> sqrt_series(RationalSeries.poly([1, -2, -3], 4)).coeffs
-    (1, -1, -2, -2, -4)
-    >>> sqrt_series(RationalSeries.poly([1, -1], 3)).coeffs
-    (1, Fraction(-1, 2), Fraction(-1, 8), Fraction(-1, 16))
-    """
-    if f.coeffs[0] != 1:
-        raise ValueError("sqrt_series requires constant term 1")
-    n = f.order
-    terms = [(i, a) for i, a in enumerate(f.coeffs[1:], 1) if a]
-    s = [1] + [0] * n
-    for k in range(1, n + 1):
-        acc = sum(a * s[k - i] * (3 * i - 2 * k) for i, a in terms if i <= k)
-        s[k] = _div(acc, 2 * k)
-    return RationalSeries(tuple(s))
-
-
 def compose(f: RationalSeries, g: RationalSeries) -> RationalSeries:
     """f(g(x)) to the smaller order of f and g; requires g(0) = 0."""
     if g.coeffs[0] != 0:
@@ -264,6 +257,9 @@ ZEILBERGER_CUBIC = EquationSpec.make(
     1,
 )
 
+# (1+x) y^2 - (1+x) y + x = 0, the square of B1's closed form, y(0) = 0.
+B1_EQUATION = EquationSpec.make({(0, 2): 1, (1, 2): 1, (0, 1): -1, (1, 1): -1, (1, 0): 1}, 0)
+
 # y = x + y(y-x) + (y-x)^2 + x(2y-x)^2 collected, y(0) = 0.
 B2_EQUATION = EquationSpec.make(
     {
@@ -299,53 +295,84 @@ B3_EQUATION = EquationSpec.make(
     0,
 )
 
-# B3's coefficients satisfy sum_s c_s(n) y_(n+s) = 0 for every n: the
-# P-recurrence of the order-4 linear ODE that the quartic implies.  The rows
-# run over s = -36..2, each c_s's coefficients highest power of n first;
-# c_2(n) = -2187 (n+1)(n+2)(n+3)(n+4) vanishes at no n >= 1.  Derived and
-# checked against `solve_equation` by
-#     PYTHONPATH=src python scripts/derive_b3_recurrence.py
-_B3_RECURRENCE = (
-    (3487629312, -481292845056, 24898185658368, -572257192771584, 4930531310960640),
-    (19168026624, -2555450892288, 127687390322688, -2834010721935360, 23574259176652800),
-    (-30684220416, 3940489451520, -189652177695744, 4054434936219648, -32485439443894272),
-    (-166805927424, 20827914068736, -974639458331136, 20257843508944128, -157800561304117248),
-    (-40890132864, 4828251197952, -213582693648960, 4195397803656384, -30879844885208448),
-    (366082449408, -42891359919552, 1882452987201888, -36678135768746976, 267676411777253568),
-    (393794086608, -44527274774784, 1887186314705688, -35533696089606696, 250806254952763872),
-    (-8422223720, -312058210004, 69858923760260, -2441275699119424, 25613062613630784),
-    (-400733756950, 41465705094156, -1602980535520802, 27426604897402236, -175149916245394416),
-    (-734526371910, 79088634294100, -3195742804263258, 57433132339166204, -387340633575167040),
-    (-540721883508, 58428640569272, -2363735038197240, 42434062190335996, -285242507210924160),
-    (433581101748, -44358221283876, 1697697327986952, -28815449332357488, 183056272643786832),
-    (1055847547580, -104990968635924, 3904903299615952, -64397296561779408, 397397971382039472),
-    (616894426124, -56259635139020, 1925458784343592, -29308932379144000, 167411596141784856),
-    (-161751002177, 19177619528238, -787830900873595, 13709964822159750, -86623122433366728),
-    (-579577653599, 51125756623242, -1682252149528909, 24485692037789898, -133084044277326072),
-    (-514267103197, 38951003866574, -1103905446070439, 13871961181658350, -65201112742656240),
-    (-182246666267, 11257701806558, -249864930108229, 2303902998671194, -7038303372987480),
-    (81524208651, -6440259955986, 187244682917373, -2382195947646486, 11214840152308848),
-    (245009929284, -15987672023296, 389644882140816, -4201766950557620, 16908080333529576),
-    (317495815153, -19417122789334, 444648954351431, -4518304660991594, 17188634099645664),
-    (118705341566, -6792215918264, 145961466898462, -1396549438915660, 5020917677566152),
-    (-183966320389, 9840488348866, -196997925822827, 1748633242916366, -5805058147273896),
-    (-202337989625, 10042509459294, -186739930891279, 1541358897386274, -4763612129168736),
-    (-3588857796, 226696732216, -5011700709288, 46951873944236, -159235992560376),
-    (89524474378, -3676109672932, 56490282729962, -384936196940168, 981211820522616),
-    (36784169182, -1380288579024, 19395271574810, -120869325328056, 281698858162512),
-    (-13871772931, 457278638158, -5621378672825, 30551745384686, -61953915634056),
-    (-13812430627, 408422868374, -4505778507101, 21967618443130, -39915779032680),
-    (-1693929235, 45591629706, -456039898769, 2004217374138, -3260383424856),
-    (1505152499, -32214016010, 255719371633, -891773212858, 1151921143176),
-    (500469432, -9187084092, 61990131852, -181605615384, 194440183704),
-    (-38569287, 437508630, -1770962865, 3034090170, -1855771776),
-    (-34888290, 372516252, -1396330410, 2102245680, -1043006688),
-    (-844227, 19730610, -65375901, 46610046, -209952),
-    (1261953, -1259874, -1867941, 688878, 34992),
-    (60156, 3024, -250992, 128196, 322056),
-    (-27216, -163296, -299376, -163296, 0),
-    (-2187, -21870, -76545, -109350, -52488),
-)
+# Each B-series's coefficients satisfy sum_s c_s(n) y_(n+s) = 0 for every
+# n >= 1: the P-recurrence of the linear ODE that its equation implies (order
+# 2 for B1 and B2, 4 for B3).  Per name, the rows c_s for s = h + 1 - len(rows)
+# .. h, each c_s's coefficients highest power of n first, and the seed y_0..y_h;
+# c_h(n) vanishes at no n >= 1.  Derived, checked against `solve_equation` and
+# printed by
+#     PYTHONPATH=src python scripts/derive_recurrences.py NAME
+_RECURRENCES = {
+    B1: (
+        (
+            (3, 3, 0),
+            (2, 2, 0),
+            (-1, -3, -2),
+        ),
+        (0, 1, 0),
+    ),
+    B2: (
+        (
+            (98, -882, 1960),
+            (119, -903, 1708),
+            (-9, -75, 264),
+            (-54, 114, -42),
+            (-14, 12, -4),
+            (3, 3, 0),
+            (1, 3, 2),
+        ),
+        (0, 1, 0),
+    ),
+    B3: (
+        (
+            (3487629312, -481292845056, 24898185658368, -572257192771584, 4930531310960640),
+            (19168026624, -2555450892288, 127687390322688, -2834010721935360, 23574259176652800),
+            (-30684220416, 3940489451520, -189652177695744, 4054434936219648, -32485439443894272),
+            (-166805927424, 20827914068736, -974639458331136, 20257843508944128, -157800561304117248),
+            (-40890132864, 4828251197952, -213582693648960, 4195397803656384, -30879844885208448),
+            (366082449408, -42891359919552, 1882452987201888, -36678135768746976, 267676411777253568),
+            (393794086608, -44527274774784, 1887186314705688, -35533696089606696, 250806254952763872),
+            (-8422223720, -312058210004, 69858923760260, -2441275699119424, 25613062613630784),
+            (-400733756950, 41465705094156, -1602980535520802, 27426604897402236, -175149916245394416),
+            (-734526371910, 79088634294100, -3195742804263258, 57433132339166204, -387340633575167040),
+            (-540721883508, 58428640569272, -2363735038197240, 42434062190335996, -285242507210924160),
+            (433581101748, -44358221283876, 1697697327986952, -28815449332357488, 183056272643786832),
+            (1055847547580, -104990968635924, 3904903299615952, -64397296561779408, 397397971382039472),
+            (616894426124, -56259635139020, 1925458784343592, -29308932379144000, 167411596141784856),
+            (-161751002177, 19177619528238, -787830900873595, 13709964822159750, -86623122433366728),
+            (-579577653599, 51125756623242, -1682252149528909, 24485692037789898, -133084044277326072),
+            (-514267103197, 38951003866574, -1103905446070439, 13871961181658350, -65201112742656240),
+            (-182246666267, 11257701806558, -249864930108229, 2303902998671194, -7038303372987480),
+            (81524208651, -6440259955986, 187244682917373, -2382195947646486, 11214840152308848),
+            (245009929284, -15987672023296, 389644882140816, -4201766950557620, 16908080333529576),
+            (317495815153, -19417122789334, 444648954351431, -4518304660991594, 17188634099645664),
+            (118705341566, -6792215918264, 145961466898462, -1396549438915660, 5020917677566152),
+            (-183966320389, 9840488348866, -196997925822827, 1748633242916366, -5805058147273896),
+            (-202337989625, 10042509459294, -186739930891279, 1541358897386274, -4763612129168736),
+            (-3588857796, 226696732216, -5011700709288, 46951873944236, -159235992560376),
+            (89524474378, -3676109672932, 56490282729962, -384936196940168, 981211820522616),
+            (36784169182, -1380288579024, 19395271574810, -120869325328056, 281698858162512),
+            (-13871772931, 457278638158, -5621378672825, 30551745384686, -61953915634056),
+            (-13812430627, 408422868374, -4505778507101, 21967618443130, -39915779032680),
+            (-1693929235, 45591629706, -456039898769, 2004217374138, -3260383424856),
+            (1505152499, -32214016010, 255719371633, -891773212858, 1151921143176),
+            (500469432, -9187084092, 61990131852, -181605615384, 194440183704),
+            (-38569287, 437508630, -1770962865, 3034090170, -1855771776),
+            (-34888290, 372516252, -1396330410, 2102245680, -1043006688),
+            (-844227, 19730610, -65375901, 46610046, -209952),
+            (1261953, -1259874, -1867941, 688878, 34992),
+            (60156, 3024, -250992, 128196, 322056),
+            (-27216, -163296, -299376, -163296, 0),
+            (-2187, -21870, -76545, -109350, -52488),
+        ),
+        (0, 1, 0),
+    ),
+}
+
+# R, highest power first, with disc_y Q = x^2 R for B3's quartic Q: the
+# dominant singularity x* = 1/rho of B3 is R's smallest positive root, the
+# only root within 1% of it (same script, NAME = B3).
+_B3_DISCRIMINANT = (576, 288, -1024, -564, -407, -442, 1285, 1356, -322, -666, -144, 32, 9)
 
 
 def _online_solution(spec: EquationSpec, order: int, qy0) -> list:
@@ -397,7 +424,7 @@ def solve_equation(spec: EquationSpec, order: int) -> RationalSeries:
     return y
 
 
-def _p_recurrence(table, seed: list[int], order: int) -> list[int]:
+def _p_recurrence(table, seed, order: int) -> list[int]:
     """[y_0, ..., y_order] of sum_s c_s(n) y_(n+s) = 0 (n >= 1, y_m = 0 for m < 0).
 
     table holds the rows c_s for s = h + 1 - len(table) .. h, h = len(seed) - 1,
@@ -519,31 +546,6 @@ def _a_hyp(order: int) -> RationalSeries:
     return RationalSeries(tuple(coeffs))
 
 
-A_FORMULA = "A_FORMULA"
-A_ZEIL = "A_ZEIL"
-A_HYP = "A_HYP"
-P = "P"
-PPRIME = "PPRIME"
-B1 = "B1"
-B2 = "B2"
-B3 = "B3"
-
-SERIES_NAMES = (A_FORMULA, A_ZEIL, A_HYP, P, PPRIME, B1, B2, B3)
-ASYMPT_NAMES = ("A", P, PPRIME, B1, B2, B3)
-
-
-def b1_closed_form(order: int) -> RationalSeries:
-    rad = RationalSeries.poly([1, -2, -3], order)
-    num = RationalSeries.poly([1, 1], order) - sqrt_series(rad)
-    return num / RationalSeries.poly([2, 2], order)
-
-
-def b2_closed_form(order: int) -> RationalSeries:
-    rad = RationalSeries.poly([1, -2, -7], order)
-    num = RationalSeries.poly([1, 3, 4], order) - sqrt_series(rad)
-    return num / RationalSeries.poly([4, 8], order)
-
-
 def series(name: str, order: int) -> RationalSeries:
     """Build a named series to the given order; its coefficients are ints.
 
@@ -564,12 +566,8 @@ def series(name: str, order: int) -> RationalSeries:
     if name == PPRIME:
         p = series(P, order).coeffs
         return RationalSeries((p[0], *(b - a for a, b in zip(p, p[1:]))))
-    if name == B1:
-        return b1_closed_form(order)
-    if name == B2:
-        return b2_closed_form(order)
-    if name == B3:
-        return RationalSeries(tuple(_p_recurrence(_B3_RECURRENCE, [0, 1, 0], order)))
+    if name in _RECURRENCES:
+        return RationalSeries(tuple(_p_recurrence(*_RECURRENCES[name], order)))
     raise ValueError(f"unknown series name: {name!r}")
 
 
@@ -603,11 +601,12 @@ def _dq(a: int, b: int):
 def b3_singularity() -> SingularityEstimate:
     """Dominant singularity of the quartic's branch through the origin.
 
-    Solves Q(x*, z*) = 0, dQ/dz(x*, z*) = 0 by damped two-dimensional Newton
-    iteration, seeded by the empirical coefficient ratio at order 200; returns
-    tau = z*, rho = 1/x*, gamma = sqrt(2 x* Q_x / Q_zz) so that
-    [x^n] ~ gamma * rho^n / (2 sqrt(pi n^3)).  rho is validated against the
-    order-200 coefficient ratio (must agree within 1%).
+    x* is the root of the discriminant factor R (`_B3_DISCRIMINANT`) next to
+    1/ratio, the inverse empirical coefficient ratio at order 200; z* is the
+    root of dQ/dz(x*, .) next to the truncated series a touch inside the
+    radius.  Returns tau = z*, rho = 1/x*, gamma = sqrt(2 x* Q_x / Q_zz) so
+    that [x^n] ~ gamma * rho^n / (2 sqrt(pi n^3)).  rho is validated against
+    the order-200 coefficient ratio (must agree within 1%).
     """
     import mpmath
 
@@ -615,27 +614,11 @@ def b3_singularity() -> SingularityEstimate:
         b3 = series(B3, 201)
         ratio = mpmath.mpf(b3[201]) / b3[200]
         x0 = 1 / ratio
-        # Seed z by the truncated series a touch inside the radius.
+        x = mpmath.findroot(lambda t: mpmath.polyval(_B3_DISCRIMINANT, t), x0)
         xs = x0 * (1 - mpmath.mpf(1) / 50)
         z0 = mpmath.fsum(b3[k] * xs**k for k in range(202))
-        q, qx, qz, qzz, qxz = _dq(0, 0), _dq(1, 0), _dq(0, 1), _dq(0, 2), _dq(1, 1)
-        x, z = x0, z0
-        for _ in range(200):
-            f1, f2 = q(x, z), qz(x, z)
-            j11, j12 = qx(x, z), qz(x, z)
-            j21, j22 = qxz(x, z), qzz(x, z)
-            det = j11 * j22 - j12 * j21
-            if det == 0:
-                raise ArithmeticError("singular Jacobian in singularity solver")
-            dx = (f1 * j22 - f2 * j12) / det
-            dz = (j11 * f2 - j21 * f1) / det
-            # Damp long steps to stay on the branch.
-            scale = min(1, mpmath.mpf("0.1") / max(abs(dx), abs(dz), mpmath.mpf("1e-30")))
-            x, z = x - dx * scale, z - dz * scale
-            if abs(dx) + abs(dz) < mpmath.mpf("1e-28"):
-                break
-        else:
-            raise ArithmeticError("singularity solver did not converge")
+        qz, qx, qzz = _dq(0, 1), _dq(1, 0), _dq(0, 2)
+        z = mpmath.findroot(lambda t: qz(x, t), z0)
         rho = 1 / x
         gamma = mpmath.sqrt(2 * x * qx(x, z) / qzz(x, z))
         if abs(rho / ratio - 1) > mpmath.mpf("0.01"):

@@ -57,12 +57,12 @@ from .series import (
     B3,
     P,
     PPRIME,
+    B1_EQUATION,
     B2_EQUATION,
     B3_EQUATION,
     RationalSeries,
     asymptotic,
     b3_singularity,
-    b2_closed_form,
     compose,
     exact_coefficient,
     primitive_maps_with_edges,
@@ -580,10 +580,10 @@ def check_closure(n_max: int = 8):
 def check_series_identities(order: int = 30):
     """Coefficientwise identities among the named series.
 
-    The three A routes agree; B2's closed form solves its equation; B3's
-    recurrence agrees with the online solution of its quartic; B3's
-    first ten coefficients are 1, 0, 1, 1, 5, 13, 48, 160, 578, 2078; PPRIME
-    is (1-x)P and the binomial sum gives P, for P = A(x/(1+x)) by `compose`.
+    The three A routes agree; each B-series's recurrence agrees with the
+    online solution of its equation; B3's first ten coefficients are 1, 0,
+    1, 1, 5, 13, 48, 160, 578, 2078; PPRIME is (1-x)P and the binomial sum
+    gives P, for P = A(x/(1+x)) by `compose`.
     """
     a_formula = series(A_FORMULA, order)
     a_zeil = series(A_ZEIL, order)
@@ -592,11 +592,10 @@ def check_series_identities(order: int = 30):
         yield ("A via cubic", "closed-form coefficients", "differs")
     if a_hyp != a_formula:
         yield ("A via hypergeometric", "closed-form coefficients", "differs")
-    if b2_closed_form(order) != solve_equation(B2_EQUATION, order):
-        yield ("B2 closed form", "equation solution", "differs")
+    for name, spec in ((B1, B1_EQUATION), (B2, B2_EQUATION), (B3, B3_EQUATION)):
+        if series(name, order) != solve_equation(spec, order):
+            yield (f"{name} recurrence", "equation solution", "differs")
     b3 = series(B3, order)
-    if b3 != solve_equation(B3_EQUATION, order):
-        yield ("B3 recurrence", "equation solution", "differs")
     printed = (1, 0, 1, 1, 5, 13, 48, 160, 578, 2078)[:order]
     got = tuple(int(b3[i]) for i in range(1, len(printed) + 1))
     if got != printed:

@@ -9,8 +9,9 @@ import sys
 import pytest
 
 import mapscope
-from mapscope.cli import main
+from mapscope.cli import _reader, main
 from mapscope.trees import (
+    enumerate_trees,
     format_tree,
     iter_subtrees,
     parse_tree,
@@ -271,6 +272,20 @@ def test_series_csv(capsys):
     assert lines[1] == "1,1,0.366451883927,0.633548"
     assert lines[2] == "2,0,0.388680918155,"
     assert lines[3] == "3,1,0.634713281491,0.365287"
+
+
+def test_series_prints_coefficients_past_the_digit_limit(capsys):
+    'Coefficients longer than the int -> str digit limit print; the limit comes back after'
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(["series", "--name", "b3", "--terms", "1200"], capsys)
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 1200 and len(lines[-1]) > 640
 
 
 def test_series_bad_terms(capsys):
@@ -563,6 +578,23 @@ def test_size_cap_applies_to_each_stdin_object(argv, small, big, size, capsys, m
     assert code == 2
     assert len(out.splitlines()) == 1
     assert err == f"mapscope: line 2: size {size} exceeds MAPSCOPE_MAX_SIZE=3\n"
+
+
+def test_size_cap_counts_the_nodes_of_each_tree_line(monkeypatch):
+    'A tree line is held to MAPSCOPE_MAX_SIZE by its node count, padded or not, <= 8 nodes'
+    readers = {}
+    for cap in range(1, 9):
+        monkeypatch.setenv("MAPSCOPE_MAX_SIZE", str(cap))
+        readers[cap] = _reader("tree")
+    for n in range(1, 9):
+        for t in enumerate_trees(n):
+            text = format_tree(t)
+            for line in (text, "  " + text.replace("(", "( ").replace(")", " ) ") + "\t"):
+                assert readers[n](line) == t
+                if n > 1:
+                    with pytest.raises(ValueError) as err:
+                        readers[n - 1](line)
+                    assert str(err.value) == f"size {n} exceeds MAPSCOPE_MAX_SIZE={n - 1}"
 
 
 MAP_2 = '{"n_darts": 4, "alpha": [1, 0, 3, 2], "sigma": [3, 2, 1, 0], "root": 2}'

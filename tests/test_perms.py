@@ -32,7 +32,7 @@ from mapscope.perms import (
     reduce_to_primitive,
     tree_to_perm,
 )
-from mapscope.trees import enumerate_trees, format_tree, parse_tree
+from mapscope.trees import enumerate_trees, format_tree, parse_tree, validate_tree
 from mapscope.verify import _has_2_41_3, _has_3142, brute_force_av, naive_mesh_occurrences
 
 import pytest
@@ -133,6 +133,9 @@ def test_cut_point_certificate_matches_the_rebuild():
             except ValueError as err:
                 got = str(err)
             assert got == _rebuilt_unfold(pi), pi
+            if not isinstance(got, str):  # a member's tree comes back marked valid, rightly
+                t = perm_to_tree(pi)
+                assert t.__dict__.get("_problem") == "ok" == validate_tree(t), pi
 
 
 @pytest.mark.parametrize("pi", [(3, 1, 4, 2), (2, 4, 1, 3), (1, 4, 2, 5, 3), (5, 3, 1, 6, 4, 2)])

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import math
 import os
 import subprocess
@@ -13,6 +14,7 @@ from mapscope.series import (
     B1,
     B2,
     B3,
+    B1_EQUATION,
     B2_EQUATION,
     B3_EQUATION,
     P,
@@ -31,9 +33,8 @@ from mapscope.series import (
     primitive_maps_with_edges,
     series,
     solve_equation,
-    sqrt_series,
     tutte_count,
-    _B3_RECURRENCE,
+    _RECURRENCES,
     _p_recurrence,
 )
 
@@ -127,28 +128,33 @@ def _convolution_sqrt(coeffs):
     return s
 
 
-def test_sqrt_series_property():
-    'sqrt_series(f)^2 == f, and the convolution reference agrees, for sparse and dense f'
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-    ints = st.integers(-9, 9)
-    fracs = st.fractions(min_value=-5, max_value=5, max_denominator=7)
-    spots = st.dictionaries(st.integers(1, 30), st.one_of(ints, fracs), max_size=3)
-    dense = st.lists(st.one_of(ints, fracs), max_size=20).map(
-        lambda cs: dict(enumerate(cs, 1))
-    )
+def _closed_form(num, rad, den, order):
+    '(num - sqrt(rad)) / den to the given order, the square root by `_convolution_sqrt`'
+    root = RationalSeries(tuple(_convolution_sqrt(RationalSeries.poly(rad, order).coeffs)))
+    return (RationalSeries.poly(num, order) - root) / RationalSeries.poly(den, order)
 
-    @hypothesis.settings(max_examples=200, deadline=None, database=None)
-    @hypothesis.given(st.one_of(spots, dense), st.integers(1, 30))
-    def roots(spec, order):
-        coeffs = [1] + [spec.get(k, 0) for k in range(1, order + 1)]
-        f = RationalSeries.poly(coeffs, order)
-        s = sqrt_series(f)
-        assert s * s == f
-        assert list(s.coeffs) == _convolution_sqrt(coeffs)
-        assert all(type(c) is int or c.denominator != 1 for c in s.coeffs)
 
-    roots()
+def test_b1_b2_recurrences_match_printed_closed_forms():
+    'series(B1) and series(B2), and the root of B1_EQUATION, against the printed closed forms'
+    b1 = _closed_form([1, 1], [1, -2, -3], [2, 2], 300)
+    assert series(B1, 300) == b1
+    assert solve_equation(B1_EQUATION, 100) == b1.truncate(100)
+    assert series(B2, 300) == _closed_form([1, 3, 4], [1, -2, -7], [4, 8], 300)
+
+
+@pytest.mark.parametrize(
+    "name, digits, sha",
+    [
+        (B1, 949, "cf461ebf549ae5f6cdf4664813b0c21fec3c6de7bf2b2d9e904f48339a0fd442"),
+        (B2, 1160, "68174a7e63e35b1816bf3f9a7d8e99076481a5198beebc812d305b6a2dffb765"),
+    ],
+    ids=[B1, B2],
+)
+def test_b1_b2_coefficient_2000_pinned(name, digits, sha):
+    '[x^2000] of B1 and B2, pinned from the earlier closed forms as the SHA-256 of its digits'
+    c = series(name, 2000)[2000]
+    assert type(c) is int and len(str(c)) == digits
+    assert hashlib.sha256(str(c).encode()).hexdigest() == sha
 
 
 def test_zeilberger_cubic():
@@ -164,14 +170,14 @@ def test_b2_closed_form_equals_equation():
 
 
 def test_b2_equation_at_high_order():
-    'The closed form behind series(B2) matches the equation far past the prefixes'
+    'The recurrence behind series(B2) matches the equation far past the prefixes'
     assert exact_coefficient(B2, 200) == solve_equation(B2_EQUATION, 200)[200]
 
 
 def test_solve_equation_with_rational_coefficients():
     'Q = y^2 - 2y + x (dQ/dy = -2 at the seed) has the solution 1 - sqrt(1 - x)'
     spec = EquationSpec.make({(0, 2): 1, (0, 1): -2, (1, 0): 1}, 0)
-    expected = 1 - sqrt_series(RationalSeries.poly([1, -1], 12))
+    expected = 1 - RationalSeries(tuple(_convolution_sqrt([1, -1] + [0] * 11)))
     assert solve_equation(spec, 12) == expected
     assert expected[1] == Fraction(1, 2)
 
@@ -243,12 +249,35 @@ def test_b3_recurrence_matches_equation_solution():
     assert series(B3, 300) == solve_equation(B3_EQUATION, 300)
 
 
-def test_b3_recurrence_refuses_a_corrupt_table():
+@pytest.mark.parametrize("name", [B1, B2, B3])
+def test_b3_recurrence_refuses_a_corrupt_table(name):
     'A table with one coefficient off by one meets an inexact division and raises'
-    rows = [list(row) for row in _B3_RECURRENCE]
+    table, seed = _RECURRENCES[name]
+    rows = [list(row) for row in table]
     rows[-3][-1] += 1
     with pytest.raises(ArithmeticError, match="corrupt table"):
-        _p_recurrence(rows, [0, 1, 0], 60)
+        _p_recurrence(rows, seed, 60)
+
+
+def _derive_script():
+    'scripts/derive_recurrences.py as a module; skips when sympy is missing'
+    pytest.importorskip("sympy")
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts", "derive_recurrences.py")
+    spec = importlib.util.spec_from_file_location("derive_recurrences", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", [B1, B2])
+def test_recurrence_tables_match_a_fresh_derivation(name, monkeypatch):
+    'derive_recurrences.py --check passes on the held table and fails on a corrupt one'
+    script = _derive_script()
+    assert script.main(["--check", name]) == 0
+    table, seed = _RECURRENCES[name]
+    corrupt = (table[:-1] + (tuple(c + 1 for c in table[-1]),), seed)
+    monkeypatch.setitem(_RECURRENCES, name, corrupt)
+    assert script.main(["--check", name]) == 1
 
 
 def test_b3_coefficient_800_pinned():
@@ -264,7 +293,6 @@ def test_integral_coefficients_are_ints():
     assert type(series(B3, 50)[50]) is int
     for name in (P, PPRIME, B1, B2):
         assert all(type(c) is int for c in series(name, 200).coeffs)
-    assert all(type(c) is int for c in sqrt_series(RationalSeries.poly([1, -2, -7], 200)).coeffs)
     for f in (p_coefficient, pprime_coefficient, primitive_maps_with_edges):
         assert type(f(300)) is int
     for name in SERIES_NAMES:  # the CLI prints and JSON-encodes them as they are
@@ -292,13 +320,6 @@ def test_series_arithmetic():
     assert compose(x * geo, x / (one + x)) == x.truncate(10)
 
 
-def test_sqrt_roundtrip():
-    f = RationalSeries.poly([1, -2, -3], 12)
-    s = sqrt_series(f)
-    assert (s * s).truncate(12) == f.truncate(12)
-    assert s[1] == -1
-
-
 def test_exact_coefficients_match_series():
     for name in (B1, B2, B3):
         ser = series(name, 12)
@@ -311,10 +332,17 @@ def test_exact_coefficients_match_series():
 
 
 def test_singularity_constants():
+    'tau, rho and gamma to 25 digits, as the earlier two-dimensional Newton solver gave them'
+    import mpmath
+
     est = b3_singularity()
-    assert abs(est.tau - 0.2852537875) < 1e-7
-    assert abs(est.rho - 4.2412115430) < 1e-7
-    assert abs(est.gamma - 0.1234545709) < 1e-7
+    for value, expected in (
+        (est.tau, "0.2852537875322924170185038012"),
+        (est.rho, "4.241211543042104203547311171"),
+        (est.gamma, "0.1234545708877394784264292128"),
+    ):
+        with mpmath.workdps(30):
+            assert abs(value / mpmath.mpf(expected) - 1) < mpmath.mpf("1e-25")
 
 
 def test_import_leaves_precision_alone():
