@@ -9,8 +9,11 @@ turns, in alternating order, so a drift in machine speed reaches them all
 alike.  A run of a row is the least of CALLS back-to-back calls, so one slow
 moment of the machine does not set it.  Library rows run in-process, with
 every `lru_cache` of `mapscope.series`, `mapscope.trees` and `mapscope.verify`
-cleared before each call, so each call pays what a cold process pays (the
-imports aside: the first call of a row may import mpmath).  The
+cleared before each call, the memoised recurrence steppers of
+`mapscope.series` among them, so each call pays what a cold process pays (the
+imports aside: the first call of a row may import mpmath).  A row named
+"..., b3_singularity warm" runs `b3_singularity()` after the clearing and
+before the timed call.  The
 per-object rows (map stats lines, tree -> perm -> tree and tree text round
 trips, the deep member's rows, the seeded 100-node tree lines) time only
 the calls: their inputs are built once, before any row.  The CLI rows run
@@ -35,6 +38,7 @@ import statistics
 import subprocess
 import sys
 import time
+from functools import partial
 
 CLI_ROWS = [
     ["series", "--name", "p", "--terms", "400"],
@@ -85,11 +89,14 @@ def _library_rows():
 
     return {
         "check_asymptotics()": verify.check_asymptotics,
+        "check_asymptotics(), b3_singularity warm": verify.check_asymptotics,
         'run_suite("all", 7)': lambda: verify.run_suite("all", 7),
         "p_coefficient(1000)": lambda: series.p_coefficient(1000),
         "primitive_maps_with_edges(1000)": lambda: series.primitive_maps_with_edges(1000),
         'series("P", 240)': lambda: series.series("P", 240),
         'series("P", 400)': lambda: series.series("P", 400),
+        'series("P", 4000)': lambda: series.series("P", 4000),
+        'series("A_FORMULA", 2000)': lambda: series.series("A_FORMULA", 2000),
         'series("B1", 1000)': lambda: series.series("B1", 1000),
         'series("B2", 1000)': lambda: series.series("B2", 1000),
         'series("B1", 10000)': lambda: series.series("B1", 10000),
@@ -131,7 +138,7 @@ def _library_rows():
         for module in (series, trees, verify)
         for f in vars(module).values()
         if hasattr(f, "cache_clear")
-    ]
+    ], series.b3_singularity
 
 
 def _best(fn, before) -> float:
@@ -148,13 +155,17 @@ def _best(fn, before) -> float:
 def _time_rows(src: str, skip: list[str]) -> dict[str, float]:
     """Seconds of one run of every row not in `skip`."""
     sys.path.insert(0, src)
-    rows, caches = _library_rows()
+    rows, caches, b3_singularity = _library_rows()
 
-    def clear():
+    def clear(name):
         for cache in caches:
             cache.cache_clear()
+        if name.endswith("b3_singularity warm"):
+            b3_singularity()
 
-    out = {name: _best(fn, clear) for name, fn in rows.items() if name not in skip}
+    out = {
+        name: _best(fn, partial(clear, name)) for name, fn in rows.items() if name not in skip
+    }
     env = {**os.environ, "PYTHONPATH": src}
     commands = {'python -c "import mapscope.cli"': ["-c", "import mapscope.cli"]}
     for args in CLI_ROWS:

@@ -1,12 +1,13 @@
-"""Derive the linear recurrence of a B-series' coefficients from its equation.
+"""Derive the linear recurrence of an algebraic series' coefficients from its equation.
 
     PYTHONPATH=src python scripts/derive_recurrences.py NAME
     PYTHONPATH=src python scripts/derive_recurrences.py --check NAME
 
-NAME is B1, B2 or B3.  Each B-series is algebraic, hence D-finite (Bostan,
-Chyzak, Lecerf, Salvy and Schost, "Differential equations for algebraic
-functions", ISSAC 2007).  Working in Q(x)[y]/(Q) for its equation Q
-(`B1_EQUATION`, `B2_EQUATION` or `B3_EQUATION`) of degree d in y:
+NAME is P, B1, B2 or B3.  Each of these series is algebraic, hence D-finite
+(Bostan, Chyzak, Lecerf, Salvy and Schost, "Differential equations for
+algebraic functions", ISSAC 2007).  Working in Q(x)[y]/(Q) for its equation Q
+(`P_EQUATION`, `B1_EQUATION`, `B2_EQUATION` or `B3_EQUATION`) of degree d
+in y:
 
 1. y' = -Q_x / Q_y, with Q_y inverted mod Q by the extended gcd over Q(x);
    each further derivative is d/dx of the last, reduced mod Q.
@@ -33,7 +34,7 @@ agrees with the coefficient ratio [x^201] / [x^200] within 1%, as
 With --check the script prints no table: it exits 1 when the entry in
 `mapscope.series` differs from the fresh derivation, else 0.  Progress lines
 go to stderr either way.  Needs sympy,
-a development tool only: mapscope does not import it.  B1 and B2 take a
+a development tool only: mapscope does not import it.  P, B1 and B2 take a
 fraction of a second, B3 a few seconds.
 """
 
@@ -54,7 +55,12 @@ from sympy.polys.rings import ring
 ms = importlib.import_module("mapscope.series")
 
 CHECK_ORDER = 300
-EQUATIONS = {"B1": ms.B1_EQUATION, "B2": ms.B2_EQUATION, "B3": ms.B3_EQUATION}
+EQUATIONS = {
+    "P": ms.P_EQUATION,
+    "B1": ms.B1_EQUATION,
+    "B2": ms.B2_EQUATION,
+    "B3": ms.B3_EQUATION,
+}
 
 
 def ode_coefficients(spec) -> list[sympy.Poly]:

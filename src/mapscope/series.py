@@ -15,40 +15,48 @@ time (`solve_equation`).
 
 Named series (`series(name, N)`):
 
-* A_FORMULA -- coefficients 4(3n)!/(n!(2n+2)!) straight from the closed form
-  (note [x^0] = 2, a series convention: there is exactly one map on one edge);
+* A_FORMULA -- coefficients 4(3n)!/(n!(2n+2)!) of the closed form, each from
+  the last by its term ratio (`_tutte_terms`; note [x^0] = 2, a series
+  convention: there is exactly one map on one edge);
 * A_ZEIL    -- 2 + x*B where B solves the cubic
   B = 1 - 8x + 2x(5-6x)B - 2x^2(1+3x)B^2 - x^4 B^3;
 * A_HYP     -- (2/3x)(F([-2/3,-1/3],[1/2],27x/4) - 1);
-* P         -- A(x/(1+x)), the binomial transform of A's coefficients, read off
-  their difference table (no `compose`);  PPRIME -- (1-x) P, P's first
-  differences;
+* P         -- A(x/(1+x)), the root of the cubic `P_EQUATION` with y(0) = 2;
+  PPRIME -- (1-x) P, P's first differences;
 * B1        -- (1+x-sqrt(1-2x-3x^2))/(2(1+x)) (labels <= 1, no only
   children), the root of the quadratic `B1_EQUATION` with y(0) = 0;
 * B2        -- (1+3x+4x^2-sqrt(1-2x-7x^2))/(4+8x) (labels <= 2), the root
   of the quadratic `B2_EQUATION` with y(0) = 0;
 * B3        -- the root of the quartic `B3_EQUATION` (labels <= 3) with
   y(0) = 0.
-  Each B-series is read off the P-recurrence of its equation's linear ODE
-  (`_RECURRENCES`; order 2 for B1 and B2, 4 for B3): O(1) big-int by
-  small-int products per coefficient.  `solve_equation(B*_EQUATION, N)` is
+  P and each B-series are read off the P-recurrence of its equation's linear
+  ODE (`_RECURRENCES`; order 2 for B1 and B2, 3 for P, 4 for B3).  The
+  stepper carries each row polynomial of the recurrence as its forward
+  differences, so a coefficient costs a few vector additions and one dot
+  product of small ints with big ones.  `solve_equation(*_EQUATION, N)` is
   the independent route, about N^2 big-int products to order N.  B3's
   singularity is a root of its discriminant (`b3_singularity`).
+  `p_coefficient`, `pprime_coefficient`, `primitive_maps_with_edges` and
+  `exact_coefficient` read one memoised stepper per series, advanced only
+  as far as the largest n asked so far; `series` steps afresh.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from itertools import count, islice
+from operator import add, mul
 
 __all__ = [
     "RationalSeries",
     "EquationSpec",
     "SingularityEstimate",
     "ZEILBERGER_CUBIC",
+    "P_EQUATION",
     "B1_EQUATION",
     "B2_EQUATION",
     "B3_EQUATION",
@@ -257,6 +265,23 @@ ZEILBERGER_CUBIC = EquationSpec.make(
     1,
 )
 
+# x^2 P^3 + 2x(1+x) P^2 + (1-16x-17x^2) P + 25x^2 + 23x - 2 = 0, P(0) = 2:
+# ZEILBERGER_CUBIC under B = (P - 2)/x and x -> x/(1+x), cleared of denominators.
+P_EQUATION = EquationSpec.make(
+    {
+        (2, 3): 1,
+        (1, 2): 2,
+        (2, 2): 2,
+        (0, 1): 1,
+        (1, 1): -16,
+        (2, 1): -17,
+        (0, 0): -2,
+        (1, 0): 23,
+        (2, 0): 25,
+    },
+    2,
+)
+
 # (1+x) y^2 - (1+x) y + x = 0, the square of B1's closed form, y(0) = 0.
 B1_EQUATION = EquationSpec.make({(0, 2): 1, (1, 2): 1, (0, 1): -1, (1, 1): -1, (1, 0): 1}, 0)
 
@@ -295,14 +320,24 @@ B3_EQUATION = EquationSpec.make(
     0,
 )
 
-# Each B-series's coefficients satisfy sum_s c_s(n) y_(n+s) = 0 for every
-# n >= 1: the P-recurrence of the linear ODE that its equation implies (order
-# 2 for B1 and B2, 4 for B3).  Per name, the rows c_s for s = h + 1 - len(rows)
-# .. h, each c_s's coefficients highest power of n first, and the seed y_0..y_h;
-# c_h(n) vanishes at no n >= 1.  Derived, checked against `solve_equation` and
+# The coefficients of P and of each B-series satisfy sum_s c_s(n) y_(n+s) = 0
+# for every n >= 1: the P-recurrence of the linear ODE that its equation
+# implies (order 3 for P, 2 for B1 and B2, 4 for B3).  Per name, the rows c_s
+# for s = h + 1 - len(rows) .. h, each c_s's coefficients highest power of n
+# first, and the seed y_0..y_h; c_h(n) vanishes at no n >= 1.  Derived, checked against `solve_equation` and
 # printed by
 #     PYTHONPATH=src python scripts/derive_recurrences.py NAME
 _RECURRENCES = {
+    P: (
+        (
+            (23, -138, 253, -138),
+            (65, -216, 193, -42),
+            (57, -36, -15, -6),
+            (11, 24, 19, 6),
+            (-4, -18, -26, -12),
+        ),
+        (2, 1),
+    ),
     B1: (
         (
             (3, 3, 0),
@@ -424,31 +459,65 @@ def solve_equation(spec: EquationSpec, order: int) -> RationalSeries:
     return y
 
 
-def _p_recurrence(table, seed, order: int) -> list[int]:
-    """[y_0, ..., y_order] of sum_s c_s(n) y_(n+s) = 0 (n >= 1, y_m = 0 for m < 0).
+def _recurrence_steps(table, seed):
+    """y_0, y_1, ... without end, for sum_s c_s(n) y_(n+s) = 0 (n >= 1, y_m = 0
+    for m < 0).
 
     table holds the rows c_s for s = h + 1 - len(table) .. h, h = len(seed) - 1,
-    each c_s's integer coefficients highest power of n first.  Step n
-    evaluates every c_s(n) by Horner's rule and divides by c_h(n) to get
-    y_(n+h); a nonzero remainder means a corrupt table and raises.
+    each c_s's integer coefficients highest power of n first.  diffs[k] holds
+    the k-th forward differences of every row at n, so step n advances all rows
+    to n + 1 in deg vector additions; y_(n+h) is minus the dot product of
+    c_s(n) with y_(n+s) over s < h, divided by c_h(n).  A nonzero remainder
+    means a corrupt table and raises.
     """
-
-    def at(row, n):
-        v = 0
-        for a in row:
-            v = v * n + a
-        return v
-
-    *rest, lead = table
-    pad = len(rest) + 1 - len(seed)
-    y = [0] * pad + list(seed)  # y_m at y[pad + m]
-    for n in range(1, order - len(seed) + 2):
-        acc = sum(at(row, n) * v for row, v in zip(rest, y[n : n + len(rest)]) if v)
-        q, r = divmod(-acc, at(lead, n))
+    deg = max(map(len, table)) - 1
+    values = [
+        [sum(a * n**e for e, a in enumerate(reversed(row))) for row in table]
+        for n in range(1, deg + 2)
+    ]
+    diffs = []
+    for _ in range(deg + 1):
+        diffs.append(values[0])
+        values = [[b - a for a, b in zip(u, v)] for u, v in zip(values, values[1:])]
+    # y_(n+s) for s < h; map() stops at its end, before c_h(n).
+    window = deque(([0] * (len(table) - len(seed)) + list(seed))[1:], len(table) - 1)
+    yield from seed
+    for n in count(1):
+        q, r = divmod(-sum(map(mul, diffs[0], window)), diffs[0][-1])
         if r:
             raise ArithmeticError(f"recurrence step n = {n} is inexact: corrupt table")
-        y.append(q)
-    return y[pad : pad + order + 1]
+        yield q
+        window.append(q)
+        for k in range(deg):
+            diffs[k] = list(map(add, diffs[k], diffs[k + 1]))
+
+
+def _p_recurrence(table, seed, order: int) -> list[int]:
+    """[y_0, ..., y_order] of `_recurrence_steps(table, seed)`."""
+    return list(islice(_recurrence_steps(table, seed), order + 1))
+
+
+@lru_cache(maxsize=None)
+def _stepper(name: str) -> tuple:
+    """(steps, coefficients so far) of the named table, shared by every caller."""
+    return _recurrence_steps(*_RECURRENCES[name]), []
+
+
+def _coefficients(name: str, n: int) -> list[int]:
+    """[y_0, ..., y_m], m >= n, of the named table from its memoised stepper,
+    stepped on only past the largest n asked so far.  A step that raises (or
+    is interrupted) clears every memoised stepper, so no half-built list
+    stays behind."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    steps, coeffs = _stepper(name)
+    if n >= len(coeffs):
+        try:
+            coeffs.extend(islice(steps, n + 1 - len(coeffs)))
+        except BaseException:
+            _stepper.cache_clear()
+            raise
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -482,57 +551,33 @@ def _tutte_terms(n: int) -> list[int]:
     return t
 
 
-def _binomial_transform(terms: list[int], n: int) -> int:
-    """b_n = sum_{k=1..n} terms[k] (-1)^(n-k) C(n-1, n-k) = [x^n] T(x/(1+x)) for
-    T = sum_k terms[k] x^k, in n products: each binomial from the last by ratio.
-    """
-    total, c = 0, 1
-    for j in range(n):  # c = (-1)^j C(n-1, j), the weight of terms[n - j]
-        total += c * terms[n - j]
-        c = -c * (n - 1 - j) // (j + 1)
-    return total
-
-
-def _binomial_prefix(terms: list[int]) -> list[int]:
-    """[b_1, ..., b_N] of `_binomial_transform` for N = len(terms) - 1, in N^2/2
-    subtractions: b_n is the (n-1)-th forward difference of terms[1:] at 0.
-    """
-    row, out = terms[1:], []
-    while row:
-        out.append(row[0])
-        row = [b - a for a, b in zip(row, row[1:])]
-    return out
-
-
-@lru_cache(maxsize=64)
 def primitive_maps_with_edges(m: int) -> int:
     """Count of maps with m edges and no internal 2-face.
 
     Computed from the exact substitution identity P_M(x) = M(x/(1+x)) between
     the edge-marking series (M for all maps, P_M for the 2-face-free interiors),
-    which the verify suites confirm against direct enumeration at desk scale:
-    p_m = sum_k maps_with_edges(k) * (-1)^(m-k) * C(m-1, m-k), a binomial
-    transform over the map counts' term ratio: O(m) big-int products.
+    which the verify suites confirm against direct enumeration at desk scale.
+    M = x(A - 1) under the [x^0]A = 2 convention, so P_M = (x/(1+x))(P - 1)
+    and p_m = sum_{k<m} (-1)^(m-1-k) [x^k](P - 1): a running alternating sum
+    over P's coefficients, O(m) big-int subtractions.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _binomial_transform([0, 1] + _tutte_terms(m - 1)[1:], m)
+    total = 1  # so that the first step gives [x^0](P - 1) = p_0 - 1
+    for v in _coefficients(P, m - 1)[:m]:
+        total = v - total
+    return total
 
 
 def p_coefficient(n: int) -> int:
-    """Exact [x^n] of P = A(x/(1+x)) under the [x^0]A = 2 convention: for n >= 1,
-    sum_k tutte_count(k) (-1)^(n-k) C(n-1, n-k) over the term ratio, O(n) products.
-    """
-    if n == 0:
-        return 2
-    return _binomial_transform(_tutte_terms(n), n)
+    """Exact [x^n] of P = A(x/(1+x)) under the [x^0]A = 2 convention."""
+    return _coefficients(P, n)[n]
 
 
 def pprime_coefficient(n: int) -> int:
     """Exact [x^n] of (1-x) P; note [x^1] = -1, a convention artifact."""
-    if n == 0:
-        return 2
-    return p_coefficient(n) - p_coefficient(n - 1)
+    p = _coefficients(P, n)
+    return p[n] - p[n - 1] if n else p[0]
 
 
 def _a_hyp(order: int) -> RationalSeries:
@@ -555,14 +600,12 @@ def series(name: str, order: int) -> RationalSeries:
     if order < 1:
         raise ValueError("order must be >= 1")
     if name == A_FORMULA:
-        return RationalSeries(tuple(tutte_count(n) for n in range(order + 1)))
+        return RationalSeries(tuple(_tutte_terms(order)))
     if name == A_ZEIL:
         b = solve_equation(ZEILBERGER_CUBIC, order - 1)
         return RationalSeries((2, *b.coeffs))  # 2 + x B
     if name == A_HYP:
         return _a_hyp(order)
-    if name == P:
-        return RationalSeries((2, *_binomial_prefix(_tutte_terms(order))))
     if name == PPRIME:
         p = series(P, order).coeffs
         return RationalSeries((p[0], *(b - a for a, b in zip(p, p[1:]))))
@@ -686,11 +729,5 @@ def exact_coefficient(name: str, n: int) -> int:
     if name == PPRIME:
         return pprime_coefficient(n)
     if name in (B1, B2, B3):
-        return _b_series_coeffs(name, max(1000, n))[n]
+        return _coefficients(name, n)[n]
     raise ValueError(f"unknown asymptotic name: {name!r}")
-
-
-@lru_cache(maxsize=8)
-def _b_series_coeffs(name: str, order: int) -> tuple[int, ...]:
-    # Each B-series is built once, at the largest order the checks touch.
-    return series(name, order).coeffs

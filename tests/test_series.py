@@ -18,6 +18,7 @@ from mapscope.series import (
     B2_EQUATION,
     B3_EQUATION,
     P,
+    P_EQUATION,
     PPRIME,
     RationalSeries,
     SERIES_NAMES,
@@ -36,7 +37,9 @@ from mapscope.series import (
     tutte_count,
     _RECURRENCES,
     _p_recurrence,
+    _stepper,
 )
+from mapscope.verify import check_asymptotics
 
 import pytest
 
@@ -57,9 +60,22 @@ def test_tutte_count():
     assert maps_with_edges(4) == 6
 
 
+@pytest.mark.parametrize("f", [p_coefficient, pprime_coefficient])
+def test_negative_coefficient_index_refused(f):
+    'A negative n is refused, not read from the end of the memoised coefficients'
+    f(5)
+    with pytest.raises(ValueError):
+        f(-1)
+
+
 def test_a_prefix():
     ser = series(A_FORMULA, 8)
     assert [int(ser[n]) for n in range(9)] == A_PREFIX
+
+
+def test_a_formula_matches_factorials():
+    'The term-ratio route of A_FORMULA against tutte_count, three factorials per term'
+    assert series(A_FORMULA, 300).coeffs == tuple(map(tutte_count, range(301)))
 
 
 def test_three_a_routes_agree():
@@ -117,6 +133,7 @@ def test_p_series_matches_composition():
     sub = RationalSeries.x(order) / RationalSeries.poly([1, 1], order)
     composed = compose(series(A_FORMULA, order), sub)
     assert series(P, order) == composed
+    assert solve_equation(P_EQUATION, order) == composed
     assert series(PPRIME, order) == RationalSeries.poly([1, -1], order) * composed
 
 
@@ -249,7 +266,7 @@ def test_b3_recurrence_matches_equation_solution():
     assert series(B3, 300) == solve_equation(B3_EQUATION, 300)
 
 
-@pytest.mark.parametrize("name", [B1, B2, B3])
+@pytest.mark.parametrize("name", [B1, B2, B3, P])
 def test_b3_recurrence_refuses_a_corrupt_table(name):
     'A table with one coefficient off by one meets an inexact division and raises'
     table, seed = _RECURRENCES[name]
@@ -257,6 +274,63 @@ def test_b3_recurrence_refuses_a_corrupt_table(name):
     rows[-3][-1] += 1
     with pytest.raises(ArithmeticError, match="corrupt table"):
         _p_recurrence(rows, seed, 60)
+
+
+def _horner_steps(table, seed, order):
+    'The recurrence stepped naively: every c_s(n) by Horner\'s rule at every step'
+    def at(row, n):
+        v = 0
+        for a in row:
+            v = v * n + a
+        return v
+
+    pad = len(table) - len(seed)
+    y = [0] * pad + list(seed)  # y_m at y[pad + m]
+    for n in range(1, order - len(seed) + 2):
+        acc = sum(at(row, n) * v for row, v in zip(table[:-1], y[n:]))
+        q, r = divmod(-acc, at(table[-1], n))
+        assert r == 0
+        y.append(q)
+    return y[pad : pad + order + 1]
+
+
+@pytest.mark.parametrize("name", [P, B1, B2, B3])
+def test_stepper_matches_naive_horner_stepping(name):
+    'The forward-difference stepper against Horner evaluation of every row at every step'
+    table, seed = _RECURRENCES[name]
+    for order in [*range(1, 61), 1000]:
+        assert _p_recurrence(table, seed, order) == _horner_steps(table, seed, order)
+
+
+def test_exact_coefficient_memo_in_any_order():
+    'Asked in any order of n, the memoised steppers equal a fresh series and step only as far as asked'
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    query = st.tuples(st.sampled_from([PPRIME, B1, B2, B3]), st.integers(1, 300))
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.given(st.lists(query, min_size=1, max_size=10))
+    def agrees(queries):
+        _stepper.cache_clear()
+        furthest = {}
+        for name, n in queries:
+            assert exact_coefficient(name, n) == series(name, n)[n]
+            table = P if name == PPRIME else name
+            furthest[table] = max(n, furthest.get(table, 0))
+        for table, n in furthest.items():
+            assert len(_stepper(table)[1]) == n + 1
+        _, n = queries[-1]
+        assert p_coefficient(n) == series(P, n)[n]
+
+    agrees()
+
+
+def test_asymptotics_steps_each_series_only_as_far_as_it_reads():
+    'The asymptotics suite reads B3 to n = 800 and P, B1 and B2 to n = 1000'
+    _stepper.cache_clear()
+    check_asymptotics()
+    reached = {name: len(_stepper(name)[1]) - 1 for name in (P, B1, B2, B3)}
+    assert reached == {P: 1000, B1: 1000, B2: 1000, B3: 800}
 
 
 def _derive_script():
@@ -269,7 +343,7 @@ def _derive_script():
     return module
 
 
-@pytest.mark.parametrize("name", [B1, B2])
+@pytest.mark.parametrize("name", [B1, B2, P])
 def test_recurrence_tables_match_a_fresh_derivation(name, monkeypatch):
     'derive_recurrences.py --check passes on the held table and fails on a corrupt one'
     script = _derive_script()

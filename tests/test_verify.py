@@ -4,8 +4,9 @@ import itertools
 
 import pytest
 
-from mapscope import verify
+from mapscope import cli, verify
 from mapscope.perms import INS1, INS2, M, M_PRIME, N, generate_av, occurrences
+from mapscope.series import B1, _RECURRENCES, _stepper, exact_coefficient, series
 from mapscope.verify import (
     SUITE_NAMES,
     brute_force_av,
@@ -66,6 +67,23 @@ def test_series_suite_passes():
     'Generating-function identities hold to the requested order'
     r = check_series_identities(12)
     assert r.status == "pass"
+
+
+def test_series_suite_reports_an_inexact_step(monkeypatch, capsys):
+    'A corrupt B1 seed is a witness, not a traceback, and leaves no memoised stepper behind'
+    table, seed = _RECURRENCES[B1]
+    want = series(B1, 40)[40]
+    _stepper.cache_clear()
+    monkeypatch.setitem(_RECURRENCES, B1, (table, (0, 1, 1)))
+    message = "recurrence step n = 1 is inexact: corrupt table"
+    assert check_series_identities().witnesses == (("B1 recurrence", "exact steps", message),)
+    assert cli.main(["verify", "--suite", "series"]) == 1
+    assert message in capsys.readouterr().out
+    with pytest.raises(ArithmeticError, match="corrupt table"):
+        exact_coefficient(B1, 40)
+    assert _stepper.cache_info().currsize == 0
+    monkeypatch.setitem(_RECURRENCES, B1, (table, seed))
+    assert exact_coefficient(B1, 40) == want
 
 
 def test_theorem5_reports_the_break():
