@@ -19,7 +19,11 @@ trips, the deep member's rows, the seeded 100-node tree lines) time only
 the calls: their inputs are built once, before any row.  The CLI rows run
 `python -m mapscope.cli` as a subprocess, interpreter start-up included;
 the cold-start row runs `python -c "import mapscope.cli"`, start-up and
-imports alone.
+imports alone.  Every subprocess reads its bytecode from a fresh cache
+directory of its worker (`PYTHONPYCACHEPREFIX`, so no `__pycache__` in the
+timed tree or elsewhere is read or written), primed by one untimed run of
+each command: the rows time a warm bytecode cache, whatever the trees hold
+and whatever `PYTHONDONTWRITEBYTECODE` says.
 `--skip ROW` (repeatable) leaves out the row of that name, e.g. one a tree
 is too slow to run.
 Prints one JSON document: a machine header, then per label and row the
@@ -37,6 +41,7 @@ import random
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from functools import partial
 
@@ -166,18 +171,23 @@ def _time_rows(src: str, skip: list[str]) -> dict[str, float]:
     out = {
         name: _best(fn, partial(clear, name)) for name, fn in rows.items() if name not in skip
     }
-    env = {**os.environ, "PYTHONPATH": src}
     commands = {'python -c "import mapscope.cli"': ["-c", "import mapscope.cli"]}
     for args in CLI_ROWS:
         commands["mapscope " + " ".join(args)] = ["-m", "mapscope.cli", *args]
-    for name, argv in commands.items():
-        if name not in skip:
-            out[name] = _best(
-                lambda: subprocess.run(
-                    [sys.executable, *argv], env=env, stdout=subprocess.DEVNULL, check=True
-                ),
-                lambda: None,
-            )
+    with tempfile.TemporaryDirectory() as cache:
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONPYCACHEPREFIX": cache}
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        for name, argv in commands.items():
+            if name not in skip:
+                run = partial(
+                    subprocess.run,
+                    [sys.executable, *argv],
+                    env=env,
+                    stdout=subprocess.DEVNULL,
+                    check=True,
+                )
+                run()  # writes the bytecode this command imports into the cache
+                out[name] = _best(run, lambda: None)
     return out
 
 

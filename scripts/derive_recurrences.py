@@ -139,7 +139,7 @@ def derive(name: str) -> tuple[list[list[int]], list[int]]:
     if any(r >= 1 for r in roots):
         raise ArithmeticError(f"leading coefficient vanishes at n = {roots}; "
                               "stepping from n = 1 fails")
-    exact = ms.solve_equation(spec, CHECK_ORDER).coeffs
+    exact = ms.solve_equation(spec, CHECK_ORDER)
     rows = [table[s] for s in range(lo, hi + 1)]
     seed = list(exact[: hi + 1])
     if ms._p_recurrence(rows, seed, CHECK_ORDER) != list(exact):

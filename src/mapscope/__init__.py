@@ -46,7 +46,6 @@ from .perms import (
 )
 from .series import (
     EquationSpec,
-    RationalSeries,
     SingularityEstimate,
     asymptotic,
     b3_singularity,

@@ -48,7 +48,6 @@ __all__ = [
     "lr_maxima",
     "components",
     "direct_sum",
-    "is_indecomposable",
     "occurrences",
     "occurrence_positions",
     "avoids",
@@ -127,10 +126,6 @@ def direct_sum(*parts: Permutation) -> Permutation:
     for p in parts:
         out += _shift(p, len(out))
     return tuple(out)
-
-
-def is_indecomposable(pi: Permutation) -> bool:
-    return len(pi) > 0 and len(components(pi)) == 1
 
 
 # ---------------------------------------------------------------------------

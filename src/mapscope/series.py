@@ -1,17 +1,16 @@
 """Exact truncated power series, functional equations, and asymptotics.
 
-Series arithmetic is exact: a `RationalSeries` keeps each coefficient as an
-int when it is integral and as a `fractions.Fraction` otherwise.  Every
-quotient goes through `_div`, which keeps integral quotients as ints, so all
-named series but A_HYP are built in int arithmetic; A_HYP is built over the
+A series is a tuple of its coefficients, index n holding [x^n]; a product or
+a composition truncates to the shorter operand.  Every named series is all
+ints.  `solve_equation` keeps each coefficient as an int when it is integral
+and as a `fractions.Fraction` otherwise (every quotient goes through `_div`),
+so a rational equation gets rational coefficients; A_HYP is built over the
 rationals, each term from the last by its hypergeometric term ratio.
 Floating point appears only in the asymptotic estimators and the
 singularity solver, which run at 30 significant digits (mpmath) whatever
-the caller's precision.  A `RationalSeries` holds coefficients
-0..order; binary operations truncate to the shorter operand.  A product
-forms each coefficient as one dot product, and a square takes each symmetric
-pair once.  Functional equations are solved online, one coefficient at a
-time (`solve_equation`).
+the caller's precision.  A product (`_mul`) forms each coefficient as one
+dot product, and a square takes each symmetric pair once.  Functional
+equations are solved online, one coefficient at a time (`solve_equation`).
 
 Named series (`series(name, N)`):
 
@@ -52,7 +51,6 @@ from itertools import count, islice
 from operator import add, mul
 
 __all__ = [
-    "RationalSeries",
     "EquationSpec",
     "SingularityEstimate",
     "ZEILBERGER_CUBIC",
@@ -106,93 +104,6 @@ def _div(a, b) -> int | Fraction:
     return _exact(Fraction(a) / b)
 
 
-@dataclass(frozen=True)
-class RationalSeries:
-    """Truncated power series; coeffs[k] is the coefficient of x^k.
-
-    Each coefficient is stored exactly: an int when it is integral, a
-    Fraction otherwise.
-
-    >>> RationalSeries.poly([2, Fraction(4, 2), 0.5], 3).coeffs
-    (2, 2, Fraction(1, 2), 0)
-    """
-
-    coeffs: tuple[int | Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(map(_exact, self.coeffs)))
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    @staticmethod
-    def poly(values, order: int) -> "RationalSeries":
-        """Exact polynomial padded with zeros up to `order`."""
-        vals = list(values)[: order + 1]
-        return RationalSeries(tuple(vals) + (0,) * (order + 1 - len(vals)))
-
-    @staticmethod
-    def x(order: int) -> "RationalSeries":
-        return RationalSeries.poly([0, 1], order)
-
-    def __getitem__(self, k: int) -> int | Fraction:
-        return self.coeffs[k]
-
-    def truncate(self, order: int) -> "RationalSeries":
-        if order >= self.order:
-            return self
-        return RationalSeries(self.coeffs[: order + 1])
-
-    def __add__(self, other):
-        other = _coerce(other, self.order)
-        return RationalSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        other = _coerce(other, self.order)
-        return RationalSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __rsub__(self, other):
-        return _coerce(other, self.order) - self
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalSeries(tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalSeries(tuple(a * other for a in self.coeffs))
-        n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs  # map() stops at the reversed slice's end
-        if other is self:
-            return RationalSeries(tuple(_square_term(a, k) for k in range(n + 1)))
-        return RationalSeries(tuple(sum(map(mul, a, b[k::-1])) for k in range(n + 1)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalSeries(tuple(_div(a, other) for a in self.coeffs))
-        b0 = other.coeffs[0]
-        if b0 == 0:
-            raise ValueError("division requires a unit constant term")
-        n = min(self.order, other.order)
-        terms = [(j, b) for j, b in enumerate(other.coeffs[1 : n + 1], 1) if b]
-        out = [0] * (n + 1)
-        for k in range(n + 1):
-            acc = self.coeffs[k]
-            for j, b in terms:
-                if j > k:
-                    break
-                acc -= b * out[k - j]
-            out[k] = _div(acc, b0)
-        return RationalSeries(tuple(out))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalSeries) and self.coeffs == other.coeffs
-
-
 def _square_term(p, k: int) -> int | Fraction:
     """[x^k] of the square of the series with coefficients p: each symmetric
     pair p_i p_(k-i), i < k - i, is multiplied once and doubled."""
@@ -201,21 +112,24 @@ def _square_term(p, k: int) -> int | Fraction:
     return s + p[h] ** 2 if k % 2 == 0 else s
 
 
-def _coerce(v, order: int) -> RationalSeries:
-    if isinstance(v, RationalSeries):
-        return v
-    return RationalSeries.poly([v], order)
+def _mul(a: tuple, b: tuple) -> tuple:
+    """The product of coefficient tuples a and b, truncated to the shorter;
+    a square (a is b) takes each symmetric pair once."""
+    if a is b:
+        return tuple(_square_term(a, k) for k in range(len(a)))
+    # map() stops at the end of the reversed slice
+    return tuple(sum(map(mul, a, b[k::-1])) for k in range(min(len(a), len(b))))
 
 
-def compose(f: RationalSeries, g: RationalSeries) -> RationalSeries:
-    """f(g(x)) to the smaller order of f and g; requires g(0) = 0."""
-    if g.coeffs[0] != 0:
+def compose(f: tuple, g: tuple) -> tuple:
+    """f(g(x)) for coefficient tuples f and g, truncated to the shorter;
+    requires g(0) = 0."""
+    if g[0] != 0:
         raise ValueError("compose requires g(0) = 0")
-    n = min(f.order, g.order)
-    g = g.truncate(n)
-    acc = RationalSeries.poly([f.coeffs[n]], n)
-    for k in range(n - 1, -1, -1):
-        acc = acc * g + RationalSeries.poly([f.coeffs[k]], n)
+    n = min(len(f), len(g))
+    acc = (f[n - 1],) + (0,) * (n - 1)
+    for c in reversed(f[: n - 1]):  # Horner; g(0) = 0, so [x^0] of acc * g is 0
+        acc = (c, *_mul(acc, g)[1:])
     return acc
 
 
@@ -432,8 +346,10 @@ def _online_solution(spec: EquationSpec, order: int, qy0) -> list:
     return y
 
 
-def solve_equation(spec: EquationSpec, order: int) -> RationalSeries:
-    """Unique series y with y(0) = seed and Q(x, y) = 0 mod x^(order+1).
+def solve_equation(spec: EquationSpec, order: int) -> tuple:
+    """(y_0, ..., y_order) of the unique series y with y(0) = seed and
+    Q(x, y) = 0 mod x^(order+1); each y_n an int when it is integral, else a
+    Fraction.
 
     Solved online (van der Hoeven's relaxed solving, 2002): [x^n] Q(x, y) is
     linear in y_n with slope dQ/dy(0, seed), so each y_n costs about deg(Q, y)
@@ -445,14 +361,14 @@ def solve_equation(spec: EquationSpec, order: int) -> RationalSeries:
         raise ValueError("seed does not satisfy Q(0, y0) = 0")
     if qy0 == 0:
         raise ValueError("degenerate seed: dQ/dy(0, y0) = 0")
-    y = RationalSeries(tuple(_online_solution(spec, order, qy0)))
-    powers = [RationalSeries.poly([1], order), y]
+    y = tuple(map(_exact, _online_solution(spec, order, qy0)))
+    powers = [(1,) + (0,) * order, y]
     for j in range(2, spec.y_degree() + 1):
         half = powers[j // 2]
-        powers.append(half * half if j % 2 == 0 else powers[j - 1] * y)
+        powers.append(_mul(half, half) if j % 2 == 0 else _mul(powers[j - 1], y))
     residual = [0] * (order + 1)
     for (i, j), c in spec.coeffs:
-        for k, p in enumerate(powers[j].coeffs[: max(order + 1 - i, 0)], i):
+        for k, p in enumerate(powers[j][: max(order + 1 - i, 0)], i):
             residual[k] += c * p
     if any(residual):
         raise AssertionError("functional equation residual is nonzero")
@@ -580,37 +496,36 @@ def pprime_coefficient(n: int) -> int:
     return p[n] - p[n - 1] if n else p[0]
 
 
-def _a_hyp(order: int) -> RationalSeries:
+def _a_hyp(order: int) -> tuple[int, ...]:
     # A = (2/3x)(F([-2/3,-1/3],[1/2],27x/4) - 1); F's x^(n+1) term feeds [x^n]A.
     # F's terms: t_0 = 1, t_{k+1} = t_k * 3(3k-2)(3k-1) / (2(2k+1)(k+1)).
     coeffs = []
     t = Fraction(1)
     for k in range(order + 1):
         t *= Fraction(3 * (3 * k - 2) * (3 * k - 1), 2 * (2 * k + 1) * (k + 1))
-        coeffs.append(Fraction(2, 3) * t)
-    return RationalSeries(tuple(coeffs))
+        coeffs.append(_exact(Fraction(2, 3) * t))
+    return tuple(coeffs)
 
 
-def series(name: str, order: int) -> RationalSeries:
-    """Build a named series to the given order; its coefficients are ints.
+def series(name: str, order: int) -> tuple[int, ...]:
+    """The named series to the given order: (y_0, ..., y_order), all ints.
 
-    >>> series(B3, 8).coeffs
+    >>> series(B3, 8)
     (0, 1, 0, 1, 1, 5, 13, 48, 160)
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     if name == A_FORMULA:
-        return RationalSeries(tuple(_tutte_terms(order)))
+        return tuple(_tutte_terms(order))
     if name == A_ZEIL:
-        b = solve_equation(ZEILBERGER_CUBIC, order - 1)
-        return RationalSeries((2, *b.coeffs))  # 2 + x B
+        return (2, *solve_equation(ZEILBERGER_CUBIC, order - 1))  # 2 + x B
     if name == A_HYP:
         return _a_hyp(order)
     if name == PPRIME:
-        p = series(P, order).coeffs
-        return RationalSeries((p[0], *(b - a for a, b in zip(p, p[1:]))))
+        p = series(P, order)
+        return (p[0], *(b - a for a, b in zip(p, p[1:])))
     if name in _RECURRENCES:
-        return RationalSeries(tuple(_p_recurrence(*_RECURRENCES[name], order)))
+        return tuple(_p_recurrence(*_RECURRENCES[name], order))
     raise ValueError(f"unknown series name: {name!r}")
 
 

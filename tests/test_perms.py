@@ -21,7 +21,6 @@ from mapscope.perms import (
     generate_av,
     in_class,
     insert_largest,
-    is_indecomposable,
     is_primitive_perm,
     lr_maxima,
     occurrence_positions,
@@ -342,8 +341,6 @@ def test_ins_patterns_are_narrower_than_m():
 def test_components_and_direct_sum():
     assert components((1, 3, 2, 4)) == [(1,), (2, 1), (1,)]
     assert direct_sum((1,), (2, 1)) == (1, 3, 2)
-    assert is_indecomposable((2, 3, 1))
-    assert not is_indecomposable((1, 2))
 
 
 def test_flatten():

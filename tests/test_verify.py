@@ -10,6 +10,7 @@ from mapscope.series import B1, _RECURRENCES, _stepper, exact_coefficient, serie
 from mapscope.verify import (
     SUITE_NAMES,
     brute_force_av,
+    check_asymptotics,
     check_bounds,
     check_closure,
     check_counts,
@@ -82,6 +83,26 @@ def test_series_suite_reports_an_inexact_step(monkeypatch, capsys):
     with pytest.raises(ArithmeticError, match="corrupt table"):
         exact_coefficient(B1, 40)
     assert _stepper.cache_info().currsize == 0
+    monkeypatch.setitem(_RECURRENCES, B1, (table, seed))
+    assert exact_coefficient(B1, 40) == want
+
+
+def test_asymptotics_suite_reports_an_inexact_step(monkeypatch, capsys):
+    'A corrupt B1 seed stops the asymptotics suite with a witness, alone and under --suite all, and leaves no memoised stepper behind'
+    table, seed = _RECURRENCES[B1]
+    want = exact_coefficient(B1, 40)
+    monkeypatch.setitem(_RECURRENCES, B1, (table, (0, 1, 1)))
+    _stepper.cache_clear()
+    message = "recurrence step n = 1 is inexact: corrupt table"
+    witness = ("asymptotics", "exact arithmetic", message)
+    assert check_asymptotics().witnesses == (witness,)
+    assert _stepper.cache_info().currsize == 0
+    for suite in ("asymptotics", "all"):
+        assert cli.main(["verify", "--suite", suite, "--max-size", "2"]) == 1
+        out = capsys.readouterr().out
+        assert "asymptotics: FAIL" in out
+        assert "  asymptotics: expected exact arithmetic, got " + message in out
+        assert _stepper.cache_info().currsize == 0
     monkeypatch.setitem(_RECURRENCES, B1, (table, seed))
     assert exact_coefficient(B1, 40) == want
 
