@@ -15,8 +15,9 @@ imports aside: the first call of a row may import mpmath).  A row named
 "..., b3_singularity warm" runs `b3_singularity()` after the clearing and
 before the timed call.  The
 per-object rows (map stats lines, tree -> perm -> tree and tree text round
-trips, the deep member's rows, the seeded 100-node tree lines) time only
-the calls: their inputs are built once, before any row.  The CLI rows run
+trips, the deep member's rows, the seeded 100-node tree and map lines, the
+caterpillar) time only the calls: their inputs are built once, before any
+row.  The CLI rows run
 `python -m mapscope.cli` as a subprocess, interpreter start-up included;
 the cold-start row runs `python -c "import mapscope.cli"`, start-up and
 imports alone.  Every subprocess reads its bytecode from a fresh cache
@@ -43,6 +44,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import deque
 from functools import partial
 
 CLI_ROWS = [
@@ -91,6 +93,12 @@ def _library_rows():
     # 200 seeded 100-node tree lines, the size of the stream's slowest objects.
     rng = random.Random(21)
     hundred = [_random_tree_text(rng, 100) for _ in range(200)]
+    hundred_maps = [maps.format_map(maps.tree_to_map(trees.parse_tree(t))) for t in hundred]
+    # The 2,000-node caterpillar with maximum labels: each spine node holds a
+    # leaf and the rest of the spine, so every star is found a whole face away.
+    caterpillar = trees.node(1, [trees.leaf()])
+    for _ in range(999):
+        caterpillar = trees.node(caterpillar.label + 1, [trees.leaf(), caterpillar])
 
     return {
         "check_asymptotics()": verify.check_asymptotics,
@@ -138,6 +146,13 @@ def _library_rows():
         "cli._tree_stat_row(parse_tree(.)), 200 seeded 100-node trees": lambda: [
             cli._tree_stat_row(trees.parse_tree(text)) for text in hundred
         ],
+        "cli._map_stat_row(parse_map(.)), maps of 200 seeded 100-node trees": lambda: [
+            cli._map_stat_row(maps.parse_map(line)) for line in hundred_maps
+        ],
+        "tree_to_map, 2,000-node caterpillar with maximum labels": lambda: maps.tree_to_map(
+            caterpillar
+        ),
+        "select_trees(11), consumed": lambda: deque(trees.select_trees(11), maxlen=0),
     }, [
         f
         for module in (series, trees, verify)

@@ -57,7 +57,7 @@ class CombinatorialMap:
     @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
         """The phi-orbits, phi = sigma o alpha, the root face first."""
-        return _orbits(tuple(self.sigma[e] for e in self.alpha), self.root)
+        return _orbits([self.sigma[e] for e in self.alpha], self.root)
 
     @cached_property
     def _vertex_of(self) -> tuple[int, ...]:
@@ -69,7 +69,7 @@ class CombinatorialMap:
         return tuple(out)
 
 
-def _orbits(perm: tuple[int, ...], first: int) -> tuple[tuple[int, ...], ...]:
+def _orbits(perm: list[int] | tuple[int, ...], first: int) -> tuple[tuple[int, ...], ...]:
     """The cycles of `perm`, the one through `first` first, then by least dart."""
     seen = [False] * len(perm)
     out = []
@@ -88,29 +88,38 @@ def _orbits(perm: tuple[int, ...], first: int) -> tuple[tuple[int, ...], ...]:
 
 def validate_map(m: CombinatorialMap) -> str:
     """Return "ok" or the first violated invariant."""
-    n = m.n_darts
+    n, alpha = m.n_darts, m.alpha
     if n <= 0 or n % 2:
         return f"n_darts {n} is not a positive even count"
-    for name, p in (("alpha", m.alpha), ("sigma", m.sigma)):
+    # One pass finds alpha, on the good path, a fixed-point-free involution
+    # of 0..n-1, and so a permutation; otherwise the checks run in order, to
+    # name the first violation.
+    matched = len(alpha) == n and not [
+        e for d, e in enumerate(alpha) if not 0 <= e < n or e == d or alpha[e] != d
+    ]
+    for name, p in (("alpha", alpha), ("sigma", m.sigma))[matched:]:
         if len(p) != n or sorted(p) != list(range(n)):
             return f"{name} is not a permutation of 0..{n - 1}"
     if not 0 <= m.root < n:
         return f"root dart {m.root} out of range"
-    for d in range(n):
-        if m.alpha[d] == d:
-            return f"alpha not fixed-point-free (dart {d})"
-        if m.alpha[m.alpha[d]] != d:
-            return f"alpha not an involution (dart {d})"
+    if not matched:
+        for d in range(n):
+            if alpha[d] == d:
+                return f"alpha not fixed-point-free (dart {d})"
+            if alpha[alpha[d]] != d:
+                return f"alpha not an involution (dart {d})"
     # Transitivity of <alpha, sigma> on darts: alpha must connect the sigma-orbits.
     at, vertices = m._vertex_of, m.vertices
-    reached, stack = {0}, [0]
+    unreached = [True] * len(vertices)
+    unreached[0], stack, reached = False, [0], 1
     while stack:
         for d in vertices[stack.pop()]:
-            w = at[m.alpha[d]]
-            if w not in reached:
-                reached.add(w)
+            w = at[alpha[d]]
+            if unreached[w]:
+                unreached[w] = False
+                reached += 1
                 stack.append(w)
-    if len(reached) != len(vertices):
+    if reached != len(vertices):
         return "map not connected (alpha,sigma not transitive on darts)"
     v, e, f = len(vertices), n // 2, len(m.faces)
     if v - e + f != 2:
@@ -133,18 +142,26 @@ def is_nonseparable(m: CombinatorialMap) -> bool:
     two blocks starts a walk that must come back to v through the other block.
     """
     at = m._vertex_of
-    if any(at[d] == at[e] for d, e in enumerate(m.alpha)):
+    if [d for d, e in enumerate(m.alpha) if at[d] == at[e]]:
         return False  # loop
-    return all(len({at[d] for d in orb}) == len(orb) for orb in m.faces)
+    last = [-1] * len(m.vertices)  # vertex -> the last face that passed it
+    for i, orb in enumerate(m.faces):
+        for d in orb:
+            v = at[d]
+            if last[v] == i:
+                return False
+            last[v] = i
+    return True
 
 
 def has_multiple_edges(m: CombinatorialMap) -> bool:
     """True iff two distinct edges share the same unordered endpoint pair."""
     at = m._vertex_of
     seen = set()
-    for d in range(m.n_darts):
-        if d < m.alpha[d]:
-            key = frozenset((at[d], at[m.alpha[d]]))
+    for d, e in enumerate(m.alpha):
+        if d < e:
+            x, y = at[d], at[e]
+            key = (x, y) if x < y else (y, x)
             if key in seen:
                 return True
             seen.add(key)
@@ -191,51 +208,55 @@ def tree_to_map(t: LabeledTree) -> CombinatorialMap:
     non-root nodes with label i) stars the i-th vertex counterclockwise from
     the root vertex along the new root face.  Corners -- (dart, sigma(dart))
     pairs facing the outer face -- are carried explicitly so each splice is a
-    constant-time rotation update.  The nodes are built children first, in
+    constant-time rotation update, and the new root corner is the one the
+    root edge itself closes.  The star is found i steps along the new root
+    face, with no walk around the rest of it.  The nodes are built children first, in
     `postorder`, so deep trees need no recursion.
     """
     _require_valid(t)
-    alpha: list[int] = []
-    sigma: list[int] = []
-    # (root_dart, R_corner, star_corner) of each node whose parent is not yet
-    # reached, leftmost deepest.
-    done: list[tuple[int, tuple[int, int], tuple[int, int]]] = []
-    for s in postorder(t):
-        # Every node adds one edge: a leaf's only edge, or an internal node's
-        # new root edge.  Each of its darts starts alone at its vertex.
-        u_dart, v_dart = len(alpha), len(alpha) + 1
-        alpha += (v_dart, u_dart)
-        sigma += (u_dart, v_dart)
+    order = postorder(t)
+    # Node k's edge, a leaf's only edge or an internal node's new root edge,
+    # is darts 2k and 2k + 1, so alpha is d ^ 1; each dart starts alone at
+    # its vertex.
+    sigma = list(range(2 * len(order)))
+    alpha = list(range(1, len(sigma) + 1))
+    alpha[1::2] = range(0, len(sigma), 2)
+    # (R_corner, star_corner) of each node whose parent is not yet reached,
+    # leftmost deepest.
+    done: list[tuple[tuple[int, int], tuple[int, int]]] = []
+    for k, s in enumerate(order):
+        u_dart, v_dart = 2 * k, 2 * k + 1
         m = len(s.children)
         if m == 0:
-            done.append((u_dart, (u_dart, u_dart), (v_dart, v_dart)))
+            done.append(((u_dart, u_dart), (v_dart, v_dart)))
             continue
         parts = done[-m:]
         del done[-m:]
         # Glue star(M_j) to the root vertex of M_{j+1}.
-        for (_, _, (p, q)), (_, (p2, q2), _) in zip(parts, parts[1:]):
+        for (_, (p, q)), ((p2, q2), _) in zip(parts, parts[1:]):
             sigma[p], sigma[p2] = q2, q
-        # The new root edge runs from star(M_m) to R(M_1).
-        p, q = parts[-1][2]
-        sigma[p], sigma[u_dart] = u_dart, q
-        p, q = parts[0][1]
+        # The new root edge runs from star(M_m) to R(M_1); it closes the new
+        # root corner (star(M_m)'s dart, u_dart).
+        last, q = parts[-1][1]
+        sigma[last], sigma[u_dart] = u_dart, q
+        p, q = parts[0][0]
         sigma[p], sigma[v_dart] = v_dart, q
-        # Walk the new root face once; it has degree children-sum + 1.
-        walk = [u_dart]
-        d = sigma[alpha[u_dart]]
-        while d != u_dart:
-            walk.append(d)
-            d = sigma[alpha[d]]
-        r_corner = (alpha[walk[-1]], walk[0])
+        if s is t:
+            break  # the global root's star is never used
         # Star the i-th vertex counterclockwise after the root vertex, i the
-        # node's label.  (The global root's star is never used; its label is
-        # the children-sum, so walk[i] still exists.)
-        i = s.label
-        done.append((u_dart, r_corner, (alpha[walk[i - 1]], walk[i])))
+        # node's label: i - 1 steps of phi = sigma o alpha from u_dart.
+        d = u_dart
+        for _ in range(s.label - 1):
+            d = sigma[alpha[d]]
+        d = alpha[d]
+        done.append(((last, u_dart), (d, sigma[d])))
     # Valid by construction (the table1 suite checks it with `validate_map`),
-    # so the map is made without __post_init__'s check.
+    # so the map is made without __post_init__'s check.  Its root dart is t's
+    # u_dart, t being last in postorder.
     out = object.__new__(CombinatorialMap)
-    out.__dict__.update(n_darts=len(alpha), alpha=tuple(alpha), sigma=tuple(sigma), root=done[0][0])
+    out.__dict__.update(
+        n_darts=len(sigma), alpha=tuple(alpha), sigma=tuple(sigma), root=len(sigma) - 2
+    )
     return out
 
 

@@ -14,16 +14,18 @@ convention.)
 
 Each tree is checked at most once: `_require_valid`, the guard of every
 function that needs a valid tree, reads the verdict a tree carries
-(`LabeledTree._problem`), which `parse_tree` and `select_trees` fill in as
-they build.  `validate_tree` and `is_valid_tree` never read it: they walk
-the tree on every call.
+(`LabeledTree._problem`).  The verdict is kept in the node's `_mark` slot:
+`parse_tree`, `select_trees` and `perm_to_tree` write "ok" there as they
+build a tree they know is valid, and `_problem` fills it, with one walk,
+when it is read empty.  `validate_tree` and `is_valid_tree` never read it:
+they walk the tree on every call.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import FrozenInstanceError, dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Iterator, Optional
 
@@ -51,26 +53,35 @@ __all__ = [
 ]
 
 
-_setattr = object.__setattr__
-
-
-@dataclass(frozen=True, eq=False)
 class LabeledTree:
     """Immutable rooted plane tree with a positive integer label per node."""
 
-    label: int
-    children: tuple["LabeledTree", ...] = ()
+    __slots__ = ("label", "children", "_mark")
+    __match_args__ = ("label", "children")
 
     def __init__(self, label: int, children: tuple["LabeledTree", ...] = ()) -> None:
-        # As the generated __init__ does, with object.__setattr__ bound once;
-        # writing self.__dict__ instead would give every node a dict of its own.
-        _setattr(self, "label", label)
-        _setattr(self, "children", children)
+        _set_label(self, label)
+        _set_children(self, children)
 
-    @cached_property  # writes the instance __dict__, past the frozen __setattr__
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, unmarked
+        return LabeledTree, (self.label, self.children)
+
+    @property
     def _problem(self) -> str:
-        """validate_tree(self), walked at most once per tree."""
-        return validate_tree(self)
+        """validate_tree(self), walked at most once per tree: the `_mark`
+        slot holds the verdict once it is known."""
+        try:
+            return self._mark
+        except AttributeError:
+            msg = validate_tree(self)
+            _set_mark(self, msg)
+            return msg
 
     def __repr__(self) -> str:
         return f"LabeledTree({format_tree(self)!r})"
@@ -88,6 +99,13 @@ class LabeledTree:
 
     def __hash__(self) -> int:
         return hash(format_tree(self))  # equal trees print alike
+
+
+# The slots' own setters, past the frozen __setattr__: every node is built
+# through them.
+_set_label = LabeledTree.label.__set__
+_set_children = LabeledTree.children.__set__
+_set_mark = LabeledTree._mark.__set__
 
 
 @dataclass(frozen=True)
@@ -146,8 +164,9 @@ def postorder(t: LabeledTree) -> list[LabeledTree]:
 
 def _node_problem(label, kids, root: bool) -> Optional[str]:
     """The rule a node with this label over the child tuple `kids` breaks,
-    as a root or not, or None: one statement of the rules for the walk and
-    the parser."""
+    as a root or not, or None.  `parse_tree` tests the same rules on running
+    sums of the children's labels, and leaves naming a broken one to the
+    walk of `validate_tree`."""
     if type(label) is not int or label < 1:  # a bool is no label
         return f"label {label!r} is not a positive integer"
     if not kids:
@@ -196,7 +215,7 @@ def _require_valid(t: LabeledTree) -> None:
 
 def _valid_root(label: int, kids: tuple[LabeledTree, ...]) -> LabeledTree:
     t = LabeledTree(label, kids)
-    _setattr(t, "_problem", "ok")  # known valid: no walk
+    _set_mark(t, "ok")  # known valid: no walk
     return t
 
 
@@ -417,12 +436,18 @@ def tree_stats(t: LabeledTree) -> TreeStats:
     """
     _require_valid(t)
     nodes = leaves = scm = 0
-    for s in iter_subtrees(t):
+    stack = [t]
+    while stack:
+        kids = stack.pop().children
         nodes += 1
-        if not s.children:
+        if not kids:
             leaves += 1
-        elif len(s.children) == 1 and has_max_label(s.children[0]):
-            scm += 1
+            continue
+        if len(kids) == 1:
+            below = kids[0].children  # has the only child maximum label?
+            if not below or kids[0].label == sum([c.label for c in below]):
+                scm += 1
+        stack += kids
     return TreeStats(
         nodes=nodes,
         leaves=leaves,
@@ -439,60 +464,109 @@ def tree_stats(t: LabeledTree) -> TreeStats:
 
 
 def format_tree(t: LabeledTree) -> str:
-    parts = []
-    stack: list = [t]  # subtrees still to print, and the ")" closing each parent
+    parts = [f"({t.label}"]
+    stack = [iter(t.children)]  # per open node, its children still to print
     while stack:
-        s = stack.pop()
-        if type(s) is str:
-            parts.append(s)
-        elif s.children:
-            parts.append(f" ({s.label}")
-            stack.append(")")
-            stack.extend(reversed(s.children))
-        else:
+        for s in stack[-1]:
+            if s.children:
+                parts.append(f" ({s.label}")
+                stack.append(iter(s.children))
+                break
             parts.append(f" ({s.label})")
-    return "".join(parts)[1:]  # every node is written after a space but the root
+        else:
+            parts.append(")")
+            stack.pop()
+    return "".join(parts)
+
+
+# What `str.split()` splits on: the characters for which `str.isspace()` holds.
+_SPACE = (
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
+    "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+)
+_CLOSING = ")" + _SPACE
 
 
 def parse_tree(text: str) -> LabeledTree:
     """Parse the parenthesized tree format; raises ValueError with a position.
-    Each node's rule is checked as its ")" closes: a tree that passes them all
-    comes back marked valid."""
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split() + [""]  # "": the end
-    i, ok = 0, True
-    open_nodes: list[tuple[int, list[LabeledTree]]] = []  # (label, children so far)
-    while True:
-        tok = tokens[i]
-        if tok == "(":
-            label = tokens[i + 1]
-            if not (label.isdigit() and label.isascii()):
-                k = len(label) - len(label.lstrip("0123456789"))  # its leading digits
-                if k:
-                    int(label[:k])  # read as a label is: one past int()'s digit limit fails here
-                raise _parse_error(text, tokens, i + 1, k, "')'" if k else "integer label")
-            open_nodes.append((int(label), []))
-            i += 2
-        elif tok == ")" and open_nodes:
-            label, kids = open_nodes.pop()
-            kids = tuple(kids)
-            ok = ok and _node_problem(label, kids, not open_nodes) is None
-            i += 1
-            if not open_nodes:
-                break
-            open_nodes[-1][1].append(LabeledTree(label, kids))
-        else:
-            raise _parse_error(text, tokens, i, 0, "')'" if open_nodes else "'('")
-    if tokens[i]:
-        raise _parse_error(text, tokens, i, 0, "end of input")
-    return (_valid_root if ok else LabeledTree)(label, kids)
+
+    Split on "(", the text is one segment per node: its label, then the ")"
+    of every node that closes there.  Each open node keeps the sum of its
+    children's labels, so its rule is checked as it closes: a tree that
+    passes them all comes back marked valid."""
+    segs = text.split("(")
+    if len(segs) == 1 or segs[0].strip():
+        raise _parse_error(text, segs, 0)
+    ok = True
+    # Per open node: its label, the sum of its children's labels, its children.
+    labels: list[int] = []
+    sums: list[int] = []
+    kids: list[list[LabeledTree]] = []
+    for j in range(1, len(segs)):
+        seg = segs[j]
+        lab = seg.rstrip(_CLOSING)
+        if not (lab.isdigit() and lab.isascii()):
+            lab = lab.lstrip()
+            if not (lab.isdigit() and lab.isascii()):
+                raise _parse_error(text, segs, j)
+        label = int(lab)
+        close = seg.count(")")
+        if not close:
+            labels.append(label)
+            sums.append(0)
+            kids.append([])
+            continue
+        if label != 1:  # the node is a leaf
+            ok = False
+        t = LabeledTree(label, ())
+        while close := close - 1:  # t's parent closes too
+            if not labels:
+                raise _parse_error(text, segs, j)  # a ")" past the root
+            s = sums.pop() + label
+            children = (*kids.pop(), t)
+            label = labels.pop()
+            if not 0 < label <= s or label != s and not labels:
+                ok = False
+            t = LabeledTree(label, children)
+        if not labels:  # t is the root
+            if j + 1 < len(segs):
+                raise _parse_error(text, segs, j)
+            if ok:
+                _set_mark(t, "ok")
+            return t
+        kids[-1].append(t)
+        sums[-1] += label
+    raise _parse_error(text, segs, len(segs) - 1)  # a node left open
 
 
-def _parse_error(text: str, tokens: list[str], index: int, offset: int, expected: str):
-    """The parse error `offset` characters into token `index` of text, the
-    last token, "", being its end.  Only whitespace lies between tokens, so
-    each is found from the end of the one before."""
-    pos = 0
-    for tok in tokens[:index]:
-        pos = text.find(tok, pos) + len(tok)
-    pos = text.find(tokens[index], pos) + offset if tokens[index] else len(text)
+def _parse_error(text: str, segs: list[str], j: int):
+    """The parse error in segment j of segs = text.split("("), or at the token
+    just after it: its label, a stray token, a ")" past the root, or what
+    follows a closed root or an open node.  Where the segment starts and how
+    many nodes are open in it are counted here, on the error path only.  The
+    tokens are the labels, the parens and any other run of characters
+    between whitespace; a position is that of a token, or the text's end."""
+    start = j + sum(map(len, segs[:j]))
+    seg = segs[j]
+    rest = seg.lstrip()
+    pos = start + len(seg) - len(rest)
+    if not j:
+        return _error(pos, "'('")
+    k = len(rest) - len(rest.lstrip("0123456789"))  # the label's leading digits
+    if k:
+        int(rest[:k])  # read as a label is: one past int()'s digit limit fails here
+    after = rest[k : k + 1]
+    if not k or after and after != ")" and not after.isspace():
+        return _error(pos + k, "')'" if k else "integer label")
+    depth = j - sum(s.count(")") for s in segs[1:j])  # open nodes, this one included
+    for i in range(k, len(rest)):
+        c = rest[i]
+        if c == ")" and depth:
+            depth -= 1
+        elif not c.isspace():
+            return _error(pos + i, "')'" if depth else "end of input")
+    return _error(start + len(seg), "')'" if depth else "end of input")
+
+
+def _error(pos: int, expected: str):
     return ValueError(f"parse error at position {pos}: expected {expected}")

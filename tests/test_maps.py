@@ -164,6 +164,47 @@ def test_validate_rejects_bad_maps():
             CombinatorialMap(*fields)
 
 
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        pytest.param((3, (1, 0, 2), (0, 1, 2), 0), "n_darts 3 is not a positive even count", id="odd"),
+        pytest.param((4, (1, 0), (0, 1, 2, 3), 0), "alpha is not a permutation of 0..3", id="short"),
+        # alpha[-1] == alpha[1] == 0, so dart 0 alone would pass a check that
+        # let a negative entry index from the end
+        pytest.param((2, (-1, 0), (0, 1), 0), "alpha is not a permutation of 0..1", id="negative"),
+        pytest.param((2, (1, 0), (0, 0), 0), "sigma is not a permutation of 0..1", id="sigma"),
+        pytest.param((2, (1, 0), (0, 1), 2), "root dart 2 out of range", id="root-past-end"),
+        pytest.param((2, (1, 0), (0, 1), -1), "root dart -1 out of range", id="root-negative"),
+        pytest.param((2, (0, 1), (0, 1), 0), "alpha not fixed-point-free (dart 0)", id="fixed-point"),
+        pytest.param(
+            (4, (1, 2, 3, 0), (0, 1, 2, 3), 0), "alpha not an involution (dart 0)", id="4-cycle"
+        ),
+        pytest.param(
+            (8, (1, 0, 3, 2, 5, 4, 7, 6), (2, 3, 0, 1, 6, 7, 4, 5), 0),
+            "map not connected (alpha,sigma not transitive on darts)",
+            id="two-digons",
+        ),
+        # one vertex, two edges crossing: a map on the torus
+        pytest.param(
+            (4, (1, 0, 3, 2), (2, 3, 1, 0), 0), "not planar: V-E+F = 1-2+1 = 0 != 2", id="torus"
+        ),
+        # two rules broken: the first in order wins
+        pytest.param((2, (0, 1), (0, 1), 5), "root dart 5 out of range", id="root-and-fixed-point"),
+        pytest.param(
+            (4, (1, 0, 3, 3), (0, 1, 2, 2), 0), "alpha is not a permutation of 0..3", id="alpha-and-sigma"
+        ),
+        pytest.param(
+            (4, (1, 0, 3, 2), (0, 1, 2, 2), 0), "sigma is not a permutation of 0..3", id="sigma-and-planarity"
+        ),
+    ],
+)
+def test_validate_messages_are_pinned(fields, message):
+    'Each rule of validate_map has its message, and the first broken rule names it'
+    with pytest.raises(ValueError) as err:
+        CombinatorialMap(*fields)
+    assert str(err.value) == f"invalid map: {message}"
+
+
 def test_path_map_is_separable():
     # two edges joined at a middle vertex
     m = CombinatorialMap(4, (1, 0, 3, 2), (0, 2, 1, 3), 0)

@@ -13,7 +13,7 @@ from mapscope.perms import (
     perm_to_tree,
     tree_to_perm,
 )
-from mapscope.trees import LabeledTree, format_tree, parse_tree
+from mapscope.trees import LabeledTree, format_tree, leaf, node, parse_tree, postorder
 from mapscope.verify import _oracle_nonseparable
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -70,6 +70,68 @@ def test_tree_to_map_is_valid_and_nonseparable(t):
     m = tree_to_map(t)
     assert validate_map(m) == "ok"
     assert _oracle_nonseparable(m)
+
+
+def _face_walk_tree_to_map(t):
+    """(alpha, sigma, root) of the map of t, as `tree_to_map` built it when it
+    walked each internal node's whole new root face: an independent statement
+    of the construction to hold the faster one to."""
+    alpha: list[int] = []
+    sigma: list[int] = []
+    done = []  # (root dart, R corner, star corner) of each node awaiting its parent
+    for s in postorder(t):
+        u_dart, v_dart = len(alpha), len(alpha) + 1
+        alpha += (v_dart, u_dart)
+        sigma += (u_dart, v_dart)
+        m = len(s.children)
+        if m == 0:
+            done.append((u_dart, (u_dart, u_dart), (v_dart, v_dart)))
+            continue
+        parts = done[-m:]
+        del done[-m:]
+        for (_, _, (p, q)), (_, (p2, q2), _) in zip(parts, parts[1:]):
+            sigma[p], sigma[p2] = q2, q
+        p, q = parts[-1][2]
+        sigma[p], sigma[u_dart] = u_dart, q
+        p, q = parts[0][1]
+        sigma[p], sigma[v_dart] = v_dart, q
+        walk = [u_dart]
+        d = sigma[alpha[u_dart]]
+        while d != u_dart:
+            walk.append(d)
+            d = sigma[alpha[d]]
+        i = s.label
+        done.append((u_dart, (alpha[walk[-1]], walk[0]), (alpha[walk[i - 1]], walk[i])))
+    return tuple(alpha), tuple(sigma), done[0][0]
+
+
+def _caterpillar(nodes):
+    """The tree of `nodes` >= 2 nodes whose spine nodes each hold a leaf and
+    the rest of the spine, every label the maximum: its face walks are long."""
+    t = node(1, [leaf()])
+    for _ in range((nodes - 2) // 2):
+        t = node(t.label + 1, [leaf(), t])
+    return t
+
+
+def _same_map(t):
+    m = tree_to_map(t)
+    assert (m.alpha, m.sigma, m.root) == _face_walk_tree_to_map(t)
+
+
+@settings
+@hypothesis.given(trees(max_nodes=300))
+def test_tree_to_map_agrees_with_the_whole_face_walk(t):
+    'Walking to the star gives the map that walking the whole new root face gives'
+    _same_map(t)
+
+
+def test_tree_to_map_agrees_with_the_whole_face_walk_on_deep_trees():
+    'The 1,000-node path and the 1,000-node caterpillar with maximum labels'
+    path, caterpillar = parse_tree("(1" * 1000 + ")" * 1000), _caterpillar(1000)
+    assert sum(1 for _ in postorder(caterpillar)) == 1000
+    for t in (path, caterpillar):
+        _same_map(t)
 
 
 @settings

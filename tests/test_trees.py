@@ -1,8 +1,10 @@
+import sys
 from itertools import combinations
 
 from mapscope.series import B1, B2, B3, primitive_maps_with_edges, series
 from mapscope.trees import (
     LabeledTree,
+    _SPACE,
     _require_valid,
     _subtrees_free_top,
     children_sum,
@@ -144,8 +146,8 @@ def test_parse_skips_outer_whitespace():
 def test_parse_marks_only_valid_trees():
     'A tree that breaks a rule comes back unmarked; the guard then walks it and names the node'
     good, bad = parse_tree("(3 (1) (2 (1) (1)))"), parse_tree("(3 (1) (2 (1 (1))))")
-    assert good.__dict__.get("_problem") == "ok"
-    assert "_problem" not in bad.__dict__
+    assert getattr(good, "_mark", None) == "ok"  # read from the slot, never computed here
+    assert not hasattr(bad, "_mark")
     with pytest.raises(ValueError, match=r"^invalid tree: root.1: label 2 exceeds children sum 1$"):
         _require_valid(bad)
     assert bad._problem == validate_tree(bad)
@@ -200,6 +202,29 @@ def test_frozen_tree_rejects_assignment():
     with pytest.raises(FrozenInstanceError):
         t.label = 3
     assert format_tree(t) == "(2 (1) (1))"
+
+
+def test_tree_is_slotted_and_frozen():
+    'A node has no __dict__; its label, children and mark are read-only; keywords build it'
+    import copy
+    import pickle
+    from dataclasses import FrozenInstanceError
+
+    t = LabeledTree(label=2, children=(leaf(), leaf()))
+    assert not hasattr(t, "__dict__")
+    for name in ("label", "children", "_mark"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(t, name, 1)
+        with pytest.raises(FrozenInstanceError):
+            delattr(t, name)
+    assert not hasattr(t, "_mark")  # the failed writes left no mark
+    assert (t.label, format_tree(t)) == (2, "(2 (1) (1))")
+    assert copy.copy(t) == copy.deepcopy(t) == pickle.loads(pickle.dumps(t)) == t
+
+
+def test_parser_space_is_what_split_splits_on():
+    'The parser strips exactly the characters str.split() splits on'
+    assert _SPACE == "".join(filter(str.isspace, map(chr, range(sys.maxunicode + 1))))
 
 
 def test_stats_single_node():
