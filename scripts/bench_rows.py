@@ -13,11 +13,11 @@ cleared before each call, the memoised recurrence steppers of
 `mapscope.series` among them, so each call pays what a cold process pays (the
 imports aside: the first call of a row may import mpmath).  A row named
 "..., b3_singularity warm" runs `b3_singularity()` after the clearing and
-before the timed call.  The
-per-object rows (map stats lines, tree -> perm -> tree and tree text round
-trips, the deep member's rows, the seeded 100-node tree and map lines, the
-caterpillar) time only the calls: their inputs are built once, before any
-row.  The CLI rows run
+before the timed call.  The per-object rows (map and perm stats lines,
+tree -> perm -> tree and tree text round trips, the deep member's rows, the
+seeded 22-node and 100-node tree and map lines, the caterpillar, the
+expansions and reductions of class members) time only the calls: their
+inputs are built once, before any row.  The CLI rows run
 `python -m mapscope.cli` as a subprocess, interpreter start-up included;
 the cold-start row runs `python -c "import mapscope.cli"`, start-up and
 imports alone.  Every subprocess reads its bytecode from a fresh cache
@@ -94,6 +94,12 @@ def _library_rows():
     rng = random.Random(21)
     hundred = [_random_tree_text(rng, 100) for _ in range(200)]
     hundred_maps = [maps.format_map(maps.tree_to_map(trees.parse_tree(t))) for t in hundred]
+    # 200 seeded 22-node trees, the size of the stream's largest permutations.
+    rng = random.Random(26)
+    twenty_two = [trees.parse_tree(_random_tree_text(rng, 22)) for _ in range(200)]
+    # Class members: Av(<= 5), Av(6) and Av(<= 7).
+    av = [perms.generate_av(n) for n in range(8)]
+    av_5, av_6, av_7 = sum(av[:6], []), av[6], sum(av, [])
     # The 2,000-node caterpillar with maximum labels: each spine node holds a
     # leaf and the rest of the spine, so every star is found a whole face away.
     caterpillar = trees.node(1, [trees.leaf()])
@@ -134,6 +140,14 @@ def _library_rows():
         "in_class, decreasing 1,000-letter member": lambda: perms.in_class(deep),
         "perm_to_tree, decreasing 1,000-letter member": lambda: perms.perm_to_tree(deep),
         "tree_to_perm, 1,001-node path": lambda: perms.tree_to_perm(path),
+        "tree_to_perm, 200 seeded 22-node trees": lambda: [
+            perms.tree_to_perm(t) for t in twenty_two
+        ],
+        "cli._perm_stat_row, Av(<= 7)": lambda: [cli._perm_stat_row(pi) for pi in av_7],
+        "one_step_expansions, Av(<= 5)": lambda: [
+            perms.one_step_expansions(pi) for pi in av_5
+        ],
+        "reduce_to_primitive, Av(6)": lambda: [perms.reduce_to_primitive(pi) for pi in av_6],
         "parse_tree + format_tree, all 9-node trees": lambda: [
             trees.format_tree(trees.parse_tree(text)) for text in nine_texts
         ],

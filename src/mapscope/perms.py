@@ -12,10 +12,11 @@ One matcher serves them all.  Candidates grow left to right, depth-first,
 and each new letter is checked against its neighbours by rank in the base's
 argsort, so no subset is ever sorted.  Shaded cells take one of two forms.
 A fully shaded inner column only says that its two letters are adjacent, so
-it is matched as an adjacency.  The other cells are merged into rectangles,
-each tested on prefix bit-sets of the host's values (n + 1 ints, built once
-per call).  `avoids` stops at the first occurrence, and `occurrences` counts
-without listing them.
+it is matched as an adjacency; when it is the last letter's, a whole level
+of prefixes is extended in one sweep.  The other cells are merged into
+rectangles, each tested on prefix bit-sets of the host's values (n + 1
+ints, built once per call).  `avoids` stops at the first occurrence, and
+`occurrences` counts without listing them.
 
 The class Av(3142, 2-41-3) is in bijection with beta(1,0)-trees: a tree on
 n+1 nodes corresponds to a permutation of length n (the single-node tree to
@@ -24,7 +25,10 @@ indecomposable tree with root label a maps to the insertion of a new largest
 letter before the a-th left-to-right maximum, rearranged as in
 `insert_largest`.  Membership (`in_class`) is the bijection's checked
 unfold, not the matcher: a permutation is a member exactly when
-`insert_largest` rebuilds each level, each level O(length) by offsets.
+`insert_largest` would rebuild each level.  The unfold keeps pi's own
+values, each part a word and the base its letters sit above, so each level
+is certified and cut into its children by two scans of its letters, with no
+relabeling.
 """
 
 from __future__ import annotations
@@ -106,15 +110,7 @@ def lr_maxima(pi: Permutation) -> list[int]:
 
 def components(pi: Permutation) -> list[Permutation]:
     """Split into indecomposable components of the direct sum, flattened."""
-    out = []
-    start = best = 0
-    for i, v in enumerate(pi, start=1):
-        if v > best:
-            best = v
-        if best == i:
-            out.append(_shift(pi[start:i], -start))  # it holds start+1..i
-            start = i
-    return out
+    return [_shift(w, -b) for w, b, _ in _parts(tuple(pi), 0)]
 
 
 def _shift(word: Permutation, k: int) -> Permutation:
@@ -122,10 +118,15 @@ def _shift(word: Permutation, k: int) -> Permutation:
 
 
 def direct_sum(*parts: Permutation) -> Permutation:
-    out: list[int] = []
+    return tuple(_sum_into([], parts))
+
+
+def _sum_into(w: list[int], parts) -> list[int]:
+    """Append the direct sum of parts to w, a word holding 1..len(w)."""
     for p in parts:
-        out += _shift(p, len(out))
-    return tuple(out)
+        k = len(w)
+        w += [v + k for v in p] if k else p
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +208,17 @@ def _extend(p: tuple[int, ...], step, pi: Permutation, k: int) -> list:
 
 def _candidate_blocks(steps, pi: Permutation):
     """Yield the candidates order-isomorphic to the base, lexicographically,
-    in non-empty lists that share all but the last position.
+    in non-empty lists.
 
     Candidates grow left to right, one letter at a time (_extend).  The
     search is depth-first, so it holds the siblings of one prefix at a time
-    rather than every partial candidate.
+    rather than every partial candidate.  When the last letter must be
+    adjacent, each prefix has at most one extension, so a whole level of
+    siblings is extended in one sweep into one list of at most n candidates.
     """
     k = len(steps)
+    n = len(pi)
+    lo_i, hi_i, adjacent = last = steps[-1]
     stack = [()]
     while stack:
         p = stack.pop()
@@ -224,8 +229,19 @@ def _candidate_blocks(steps, pi: Permutation):
                 continue
         else:  # k == 1: the empty prefix is the only one
             grown = [p]
+        if adjacent:
+            block = [
+                (*q, j)
+                for q in grown
+                if (j := q[-1] + 1) < n
+                and (lo_i < 0 or pi[q[lo_i]] < pi[j])
+                and (hi_i < 0 or pi[j] < pi[q[hi_i]])
+            ]
+            if block:
+                yield block
+            continue
         for q in grown:
-            block = _extend(q, steps[-1], pi, k)
+            block = _extend(q, last, pi, k)
             if block:
                 yield block
 
@@ -365,17 +381,41 @@ def tree_to_perm(t: LabeledTree) -> Permutation:
 def _ttp(t: LabeledTree) -> Permutation:
     """Writing H(c) for a non-root node c: H(leaf) = (1,), and otherwise
     H(c) = insert_largest(the direct sum of H over c's children, c.label).
-    The permutation of t is the direct sum of H over the root's children."""
-    done: list[Permutation] = []  # H of the nodes whose parent is not yet reached
+    The permutation of t is the direct sum of H over the root's children.
+
+    Each H is a list, and a direct sum appends to its first part.  The
+    insertion is insert_largest's, on a valid label: when no component ends
+    before the chosen LR-max (a = 0) no letter moves in value, and the new
+    largest letter is inserted in place."""
+    done: list[list[int]] = []  # H of the nodes whose parent is not yet reached
     for s in postorder(t)[:-1]:
         m = len(s.children)
         if m == 0:
-            done.append((1,))
-        else:
-            kids = done[-m:]
-            del done[-m:]
-            done.append(insert_largest(direct_sum(*kids), s.label))
-    return direct_sum(*done)
+            done.append([1])
+            continue
+        w = done[-m]
+        if m > 1:
+            _sum_into(w, done[1 - m :])
+            del done[1 - m :]
+        n = len(w)
+        a = best = count = 0
+        for i, v in enumerate(w, 1):
+            if v > best:
+                best = v
+                count += 1
+                if count == s.label:
+                    break
+            if best == i:
+                a = i
+        q = i - 1  # the chosen LR-max's 0-based position
+        if a:  # B~ A~ (n+1) C~: A = w[:a] lifted above B = w[a:q] and C = w[q:]
+            head = [v + n - a for v in w[:a]]
+            w = [v - a for v in w[a:]]
+            w[q - a : q - a] = [*head, n + 1]
+        else:  # no letter moves in value
+            w.insert(q, n + 1)
+        done[-1] = w
+    return tuple(_sum_into([], done))
 
 
 def in_class(pi: Permutation) -> bool:
@@ -408,42 +448,71 @@ def _require_member(pi: Permutation) -> list[tuple[int, int]]:
     the insertion index j of p's largest letter, whose children come from
     the word p unfolds to.  Raises ValueError unless pi is a permutation in
     the class: the unfold stops at the first level insert_largest would not
-    rebuild, as certified by cut points without the rebuild (see below)."""
+    rebuild, as certified by cut points without the rebuild (see below).
+
+    Every word keeps pi's own values: a part is a word p and its base b, p
+    holding b+1 .. b+len(p), so no level relabels a letter."""
     if sorted(pi) != list(range(1, len(pi) + 1)):
         raise ValueError(f"not a permutation of 1..{len(pi)}: {_echo(repr(pi))}")
     nodes: list[tuple[int, int]] = []
-    todo = components(pi)[::-1]  # indecomposable parts still to unfold, leftmost last
+    todo = _parts(tuple(pi), 0)[::-1]  # parts still to unfold, leftmost last
     while todo:
-        p = todo.pop()
+        p, b, j = todo.pop()
         n = len(p)
         if n == 1:
             nodes.append((1, 0))
             continue
-        r = p.index(n)  # 0-based position of the largest letter
-        # A~ is the longest suffix of p[:r] holding exactly n-a .. n-1, i.e.
-        # with minimum n-a; the rest of p[:r] is B~, and B~ C~ hold 1 .. n-1-a.
-        a, low = 0, n
-        for k in range(1, r + 1):
-            if p[r - k] < low:
-                low = p[r - k]
-            if low == n - k:
+        top = b + n
+        r = p.index(top)  # 0-based position of the largest letter
+        # A~ is the longest suffix of p[:r] holding exactly top-a .. top-1,
+        # i.e. with minimum top-a; the rest of p[:r] is B~, and B~ C~ hold
+        # b+1 .. top-1-a.
+        a, low = 0, top
+        for k, v in enumerate(reversed(p[:r]), 1):
+            if v < low:
+                low = v
+            if low + k == top:
                 a = k
-        # Undo the rearrangement, B~ A~ n C~ -> A B n C, and drop n.
-        reduced = _shift(p[r - a : r], a + 1 - n) + _shift(p[: r - a] + p[r + 1 :], a)
-        # insert_largest(reduced, j) puts n before the j-th LR-max, at q, and
-        # lifts the prefix up to the last cut point a' <= q (reduced[:a'] holds
-        # 1..a'), so it rebuilds p iff q = r and a' = a.  The latter always
-        # holds: a is a cut point, and one at c in a+1..r would make p[:c-a]
-        # hold 1..c-a, splitting the indecomposable p.  So reduced[r] (there
-        # is one: n is not p's last letter) must be an LR-max, the j-th.
-        maxima = lr_maxima(reduced[: r + 1])
-        if maxima[-1] != r + 1:
+        # p unfolds to A B C, the rearrangement B~ A~ top C~ undone and top
+        # dropped: A's letters sit below B's and C's, and the order inside
+        # A~ and inside B~ C~ is kept.  insert_largest(A B C, j) puts top
+        # before the j-th LR-max, at q, and lifts the prefix up to the last
+        # cut point a' <= q (A B C[:a'] holds its a' lowest values), so it
+        # rebuilds p iff q = r and a' = a.  The latter always holds: a is a
+        # cut point, and one at c in a+1..r would make p[:c-a] hold
+        # b+1 .. b+c-a, splitting the indecomposable p.  So C[0] (there is
+        # one: top is not p's last letter) must be an LR-max of A B C[0]:
+        # above B's letters, as it is above A's.  It is then the j-th, after
+        # those of A and of B.  Those are the LR-maxima of B~ A~ = p[:r], as
+        # A~ lies above B~, so j counts p's own LR-maxima, top among them:
+        # _parts counted them as it cut p out.
+        if r > a and max(p[: r - a]) > p[r + 1]:
             raise ValueError(f"not (3142,2-41-3)-avoiding: {_echo(format_perm(pi))}")
-        j = len(maxima)
-        parts = components(reduced)
+        parts = _parts(p[: r - a] + p[r + 1 :], b)
+        if a:
+            parts[:0] = _parts(p[r - a : r], top - a - 1)
         nodes.append((j, len(parts)))
         todo.extend(reversed(parts))
     return nodes
+
+
+def _parts(word: Permutation, base: int) -> list[tuple[Permutation, int, int]]:
+    """The components of word, a word holding base+1 .. base+len(word), each
+    with its own base and number of LR-maxima: a component ends where the
+    running maximum equals base plus the number of letters read, and the
+    next starts above every letter read."""
+    out = []
+    start = best = base
+    count = 0
+    for i, v in enumerate(word, base + 1):
+        if v > best:
+            best = v
+            count += 1
+        if best == i:
+            out.append((word[start - base : i - base], start, count))
+            start = i
+            count = 0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +537,9 @@ def reduce_to_primitive(pi: Permutation) -> Permutation:
         block = next(_occurrence_blocks(M, current), None)  # the first, lexicographically
         if block is None:
             return current
-        i, j = block[0]
-        current = flatten(current[:j] + current[j + 1 :])
+        y = current[block[0][1]]
+        # Drop y and lower each larger letter: one pass, no relabeling sort.
+        current = tuple([v - (v > y) for v in current if v != y])
         if not in_class(current):
             raise AssertionError(
                 f"reduction left the class at {format_perm(current)}"
@@ -487,19 +557,22 @@ def one_step_expansions(pi: Permutation) -> list[Permutation]:
     shaded cell on the left column -- and that subset does not regenerate the
     class: 1342 is reachable from 123 only through the wider rule.)  Sorted
     lexicographically.
+
+    The y for a position are read off pi in one scan.  With y inserted, x
+    reads x+1, and the letters at or above y move up by one.  M's fully
+    shaded column holds by adjacency, and its shaded cell (2, 1) forbids a
+    later letter strictly between y and x+1: a letter of pi after x with a
+    value in [y, x).  So y runs from x down to one above the largest later
+    letter below x.
     """
     _require_member(pi)
-    n = len(pi)
-    _, rects = _plan(M)
     out = set()
-    for i in range(n):  # insert right after position i (0-based)
-        # Lowering y only widens M's shaded cell, so stop at the first miss.
-        for y in range(pi[i], 0, -1):
-            bumped = tuple(v if v < y else v + 1 for v in pi)
-            sigma = bumped[: i + 1] + (y,) + bumped[i + 1 :]
-            # The descent (i, i + 1) is an occurrence iff M's rectangles are empty.
-            if not any(_unshaded([[(i, i + 1)]], rects, sigma)):
-                break
+    for i, x in enumerate(pi):  # insert right after position i (0-based)
+        low = max([v for v in pi[i + 1 :] if v < x], default=0)
+        for y in range(x, low, -1):
+            word = [v + (v >= y) for v in pi]
+            word.insert(i + 1, y)
+            sigma = tuple(word)
             if in_class(sigma):
                 out.add(sigma)
     return sorted(out)

@@ -31,7 +31,14 @@ from mapscope.perms import (
     reduce_to_primitive,
     tree_to_perm,
 )
-from mapscope.trees import enumerate_trees, format_tree, parse_tree, validate_tree
+from mapscope.trees import (
+    LabeledTree,
+    enumerate_trees,
+    format_tree,
+    parse_tree,
+    postorder,
+    validate_tree,
+)
 from mapscope.verify import _has_2_41_3, _has_3142, brute_force_av, naive_mesh_occurrences
 
 import pytest
@@ -135,6 +142,80 @@ def test_cut_point_certificate_matches_the_rebuild():
             if not isinstance(got, str):  # a member's tree comes back marked valid, rightly
                 t = perm_to_tree(pi)
                 assert getattr(t, "_mark", None) == "ok" == validate_tree(t), pi
+
+
+def _random_tree(rng, nodes):
+    """A beta(1,0)-tree of `nodes` nodes: node i > 0 becomes the last child of
+    a node drawn among 0..i-1; leaves carry 1, the root its children's sum,
+    any other node a label drawn from 1..children's sum."""
+    kids = [[] for _ in range(nodes)]
+    for i in range(1, nodes):
+        kids[rng.randrange(i)].append(i)
+    built = [None] * nodes
+    for i in reversed(range(nodes)):
+        children = tuple(built[k] for k in kids[i])
+        total = sum(c.label for c in children)
+        label = 1 if not children else total if i == 0 else rng.randint(1, total)
+        built[i] = LabeledTree(label, children)
+    return built[0]
+
+
+def _on_random_trees(check):
+    """Run check on hypothesis-drawn trees of up to 300 nodes."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(st.integers(1, 300), st.randoms(use_true_random=False))
+    def run(nodes, rng):
+        check(_random_tree(rng, nodes))
+
+    run()
+
+
+def test_unfold_matches_the_rebuild_on_random_members():
+    'The unfold on own values agrees with the rebuild, on members of trees <= 300 nodes'
+    _on_random_trees(lambda t: _same_unfold(tree_to_perm(t)))
+
+
+def test_unfold_matches_the_rebuild_on_the_deep_member():
+    'The decreasing member of 2,000 letters: 2,000 levels, each cutting one part'
+    _same_unfold(tuple(range(2000, 0, -1)))
+
+
+def _same_unfold(pi):
+    assert _require_member(pi) == _rebuilt_unfold(pi)
+
+
+def _ttp_by_insertion(t):
+    """tree_to_perm as insert_largest and direct_sum fold H over the tree:
+    H(leaf) = (1,), H(c) = insert_largest(direct sum of H over c's children,
+    c.label), and pi is the direct sum of H over the root's children."""
+    done = []
+    for s in postorder(t)[:-1]:
+        m = len(s.children)
+        if m == 0:
+            done.append((1,))
+        else:
+            kids = done[-m:]
+            del done[-m:]
+            done.append(insert_largest(direct_sum(*kids), s.label))
+    return direct_sum(*done)
+
+
+def test_tree_to_perm_matches_insertion_on_random_trees():
+    'The list-based fold equals insert_largest and direct_sum, on trees <= 300 nodes'
+    _on_random_trees(_same_perm)
+
+
+def test_tree_to_perm_matches_insertion_on_the_deep_path():
+    _same_perm(parse_tree("(1" * 1001 + ")" * 1001))
+
+
+def _same_perm(t):
+    pi = tree_to_perm(t)
+    assert type(pi) is tuple
+    assert pi == _ttp_by_insertion(t)
 
 
 @pytest.mark.parametrize("pi", [(3, 1, 4, 2), (2, 4, 1, 3), (1, 4, 2, 5, 3), (5, 3, 1, 6, 4, 2)])
@@ -304,6 +385,23 @@ def test_m_count_on_a_long_host_is_linear_in_memory():
     assert count == expected
 
 
+def test_adjacent_last_letter_agrees_with_naive_on_length_3():
+    'Length-3 bases with the last gap shaded, and every subset of three more cells; hosts <= 6'
+    hosts = [pi for n in range(7) for pi in itertools.permutations(range(1, n + 1))]
+    gap = {(2, row) for row in range(4)}
+    others = sorted({(col, row) for col in range(4) for row in range(4)} - gap)
+    for b, base in enumerate(itertools.permutations((1, 2, 3))):
+        three = [others[(3 * b + t) % len(others)] for t in range(3)]  # each cell in some base
+        for size in range(4):
+            for extra in itertools.combinations(three, size):
+                shaded = frozenset(gap.union(extra))
+                pattern = MeshPattern(base, shaded)
+                for pi in hosts:
+                    found = occurrence_positions(pattern, pi)
+                    assert found == sorted(found), (pattern, pi)
+                    assert len(found) == naive_mesh_occurrences(base, shaded, pi), (pattern, pi)
+
+
 def test_malformed_patterns_rejected():
     for pattern in (
         (1, 3),
@@ -325,6 +423,45 @@ def test_expansions_stay_in_class_and_add_an_occurrence():
         for sigma in one_step_expansions(pi):
             assert in_class(sigma)
             assert occurrences(M, sigma) >= base + 1
+
+
+def _expansions_by_the_matcher(pi):
+    """one_step_expansions as it asked the matcher: for each x and each y from
+    x down, whether the descent (i, i + 1) of the new word is an M occurrence,
+    stopping at the first miss."""
+    out = set()
+    for i in range(len(pi)):
+        for y in range(pi[i], 0, -1):
+            bumped = tuple(v if v < y else v + 1 for v in pi)
+            sigma = bumped[: i + 1] + (y,) + bumped[i + 1 :]
+            if (i, i + 1) not in occurrence_positions(M, sigma):
+                break
+            if in_class(sigma):
+                out.add(sigma)
+    return sorted(out)
+
+
+def test_expansions_match_the_matcher():
+    'The y range read off pi gives the insertions the matcher accepts, on Av(<= 6)'
+    for n in range(7):
+        for pi in generate_av(n):
+            assert one_step_expansions(pi) == _expansions_by_the_matcher(pi), pi
+
+
+def test_reduction_matches_flatten():
+    'Dropping a letter and lowering the larger ones equals flatten, on Av(<= 7)'
+
+    def by_flatten(pi):
+        while True:
+            occ = occurrence_positions(M, pi)
+            if not occ:
+                return pi
+            j = occ[0][1]
+            pi = flatten(pi[:j] + pi[j + 1 :])
+
+    for n in range(8):
+        for pi in generate_av(n):
+            assert reduce_to_primitive(pi) == by_flatten(pi), pi
 
 
 def test_ins_patterns_are_narrower_than_m():
