@@ -55,7 +55,11 @@ CLI_ROWS = [
     ["enumerate", "--object", "trees", "--size", "10", "--filter", "k-face-free=3", "--count-only"],
     ["enumerate", "--object", "trees", "--size", "11", "--filter", "primitive"],
     ["enumerate", "--object", "maps", "--size", "10", "--filter", "primitive", "--count-only"],
+    ["enumerate", "--object", "trees", "--size", "40", "--filter", "k-face-free=4", "--count-only"],
 ]
+# The single filters of the count_trees(40, [f]) rows.
+COUNT_FILTERS = ["primitive", "two-face-free", "k-face-free=3", "k-face-free=4",
+                 "mef-necessary", "no-only-children", "labels-max=3"]
 REPEAT = 5
 CALLS = 3
 
@@ -131,6 +135,14 @@ def _library_rows():
         ),
         "b3_singularity(), cache cleared": series.b3_singularity,
         "count_trees(10)": lambda: trees.count_trees(10),
+        "count_trees(40)": lambda: trees.count_trees(40),
+        **{
+            f'count_trees(40, ["{f}"])': partial(trees.count_trees, 40, [f])
+            for f in COUNT_FILTERS
+        },
+        'count_trees_by_size(60, ["k-face-free=4"])': lambda: trees.count_trees_by_size(
+            60, ["k-face-free=4"]
+        ),
         "cli._map_stat_row, maps of all 8-node trees": lambda: [
             cli._map_stat_row(maps.parse_map(line)) for line in map_lines
         ],

@@ -23,11 +23,13 @@ they walk the tree on every call.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Iterator, Optional
+
+from .series import tutte_count
 
 __all__ = [
     "LabeledTree",
@@ -384,7 +386,17 @@ def count_trees(nodes: int, filters=()) -> int:
 
 
 def count_trees_by_size(nodes: int, filters=()) -> list[int]:
-    """[count_trees(n, filters) for n in 1..nodes], from one run of the DP."""
+    """[count_trees(n, filters) for n in 1..nodes], from one run of the DP.
+
+    subtrees[k]: clamped deficit -> the k-node trees below a parent, by label;
+    forests[j]: clamped (m, d) -> the j-node child sequences, by label sum
+    (folded at s_cap).  A forest is a forest and one more subtree; a subtree,
+    or a whole tree, is a node over a forest.  An entry is one int whose slot
+    s (bits w*s up) counts label (sum) s, so a forest times a subtree is one
+    big-int product (Kronecker substitution).  No slot spills: it counts
+    distinct forests or subtrees of i < `nodes` nodes, which a new root makes
+    distinct trees of i + 1 nodes, at most tutte_count(nodes - 1) < 2**(w-1).
+    """
     if nodes < 1:
         raise ValueError("empty tree not modeled")
     cap, rules = parse_filters(filters)
@@ -392,33 +404,41 @@ def count_trees_by_size(nodes: int, filters=()) -> list[int]:
     d_cap = max((r.d_cap for r in rules), default=0)
     # A label sum past cap + d_cap gives the same labels and clamped deficits.
     cap, s_cap = (nodes, nodes) if cap is None else (cap, max(cap + d_cap, 4))
-    # subtrees[k]: clamped deficit -> counts by label of the k-node trees below
-    # a parent; forests[j]: clamped (m, d) -> counts by clamped label sum of
-    # the j-node child sequences.  A forest is a forest and one more subtree;
-    # a subtree, or a whole tree, is a node over a forest.
-    subtrees, forests = [{}, {0: [0, 1]}], [{(0, 0): [1]}]
+    w = tutte_count(nodes - 1).bit_length() + 1
+    mask, top = (1 << w) - 1, w * s_cap
+    ones = [((1 << w * j + w) - 1) // mask - 1 for j in range(cap + 1)]  # 1 in slots 1..j
+    subtrees, forests = [{}, {0: 1 << w}], [{(0, 0): 1}]
+    # full[j]: j-node forests one subtree short of key (m_cap, 0); every[k]: all.
+    full, every = [int(m_cap <= 1)], [0, 1 << w]
     counts = [int(all(r.bad_root != 1 for r in rules))]
     for n in range(1, nodes):
-        forest: dict = {}
+        forest = defaultdict(int)
+        forest[m_cap, 0] = sum(full[n - k] * every[k] for k in range(1, n + 1))
         for k in range(1, n + 1):
             for (m, d), before in forests[n - k].items():
-                m1 = min(m + 1, m_cap)
-                for e, last in subtrees[k].items():
-                    key = (m1, 0 if m1 == m_cap else min(d + e, d_cap))
-                    out = forest.setdefault(key, [0] * (min(n, s_cap) + 1))
-                    for i, a in enumerate(before):
-                        if a:
-                            for j, b in enumerate(last, i):
-                                out[min(j, s_cap)] += a * b
+                if m + 1 < m_cap:
+                    for e, last in subtrees[k].items():
+                        forest[m + 1, min(d + e, d_cap)] += before * last
+        for key, packed in forest.items():
+            if packed >> top + w:  # sums past s_cap, each at most s_cap + cap
+                high = sum(packed >> top + w * i & mask for i in range(cap + 1))
+                forest[key] = packed & (1 << top) - 1 | high << top
         forests.append(forest)
-        below, root_count = {}, 0
-        for (m, d), by_sum in forest.items():
-            for s, a in enumerate(by_sum):
+        full.append(sum(p for (m, d), p in forest.items() if m + 1 >= m_cap))
+        below, root_count = defaultdict(int), 0
+        for (m, d), packed in forest.items():
+            for s in range(1, min(n, s_cap) + 1):
+                a = packed >> w * s & mask
                 if a and all(r.node(m, d, s) for r in rules):
                     root_count += a if all(r.bad_root != s for r in rules) else 0
-                    for label in range(1, min(s, cap) + 1):
-                        below.setdefault(min(s - label, d_cap), [0] * (min(n, cap) + 1))[label] += a
+                    # Labels up to s - d_cap leave a deficit clamped to d_cap.
+                    low = max(min(s - d_cap, cap), 0)
+                    if low:
+                        below[d_cap] += a * ones[low]
+                    for label in range(low + 1, min(s, cap) + 1):
+                        below[s - label] += a << w * label
         subtrees.append(below)
+        every.append(sum(below.values()))
         counts.append(root_count)
     return counts
 

@@ -1,7 +1,7 @@
 import sys
 from itertools import combinations
 
-from mapscope.series import B1, B2, B3, primitive_maps_with_edges, series
+from mapscope.series import B1, B2, B3, primitive_maps_with_edges, series, tutte_count
 from mapscope.trees import (
     LabeledTree,
     _SPACE,
@@ -17,6 +17,7 @@ from mapscope.trees import (
     iter_subtrees,
     leaf,
     node,
+    parse_filters,
     parse_tree,
     passes,
     select_trees,
@@ -400,10 +401,10 @@ def test_filter_specs_in_any_order_share_one_cache():
 
 
 def test_count_dp_primitive_matches_binomial_transform():
-    'Primitive trees with n nodes are the primitive maps with n edges, n <= 30'
-    counts = count_trees_by_size(30, ["primitive"])
-    assert counts == [primitive_maps_with_edges(n) for n in range(1, 31)]
-    assert count_trees(30, ["primitive"]) == counts[-1]
+    'Primitive trees with n nodes are the primitive maps with n edges, n <= 100'
+    counts = count_trees_by_size(100, ["primitive"])
+    assert counts == [primitive_maps_with_edges(n) for n in range(1, 101)]
+    assert count_trees(30, ["primitive"]) == counts[29]
 
 
 def test_count_dp_reproduces_bound_series():
@@ -412,6 +413,74 @@ def test_count_dp_reproduces_bound_series():
         ser = series(name, 100)
         counts = count_trees_by_size(100, [f"labels-max={cap}", "no-only-children"])
         assert counts == [ser[m] for m in range(1, 101)], name
+
+
+def test_count_dp_reproduces_tutte_counts():
+    'With no filter, trees with n nodes are the maps with n + 1 edges, n <= 100'
+    assert count_trees_by_size(100) == [1] + [tutte_count(n) for n in range(1, 100)]
+
+
+def _list_dp(nodes, filters=()):
+    """The counting DP with every count by label sum held in a list and
+    convolved in Python loops: the reference for the packed DP."""
+    cap, rules = parse_filters(filters)
+    m_cap = max((r.m_cap for r in rules), default=0)
+    d_cap = max((r.d_cap for r in rules), default=0)
+    cap, s_cap = (nodes, nodes) if cap is None else (cap, max(cap + d_cap, 4))
+    subtrees, forests = [{}, {0: [0, 1]}], [{(0, 0): [1]}]
+    counts = [int(all(r.bad_root != 1 for r in rules))]
+    for n in range(1, nodes):
+        forest: dict = {}
+        for k in range(1, n + 1):
+            for (m, d), before in forests[n - k].items():
+                m1 = min(m + 1, m_cap)
+                for e, last in subtrees[k].items():
+                    key = (m1, 0 if m1 == m_cap else min(d + e, d_cap))
+                    out = forest.setdefault(key, [0] * (min(n, s_cap) + 1))
+                    for i, a in enumerate(before):
+                        if a:
+                            for j, b in enumerate(last, i):
+                                out[min(j, s_cap)] += a * b
+        forests.append(forest)
+        below, root_count = {}, 0
+        for (m, d), by_sum in forest.items():
+            for s, a in enumerate(by_sum):
+                if a and all(r.node(m, d, s) for r in rules):
+                    root_count += a if all(r.bad_root != s for r in rules) else 0
+                    for label in range(1, min(s, cap) + 1):
+                        below.setdefault(min(s - label, d_cap), [0] * (min(n, cap) + 1))[label] += a
+        subtrees.append(below)
+        counts.append(root_count)
+    return counts
+
+
+def test_packed_dp_matches_the_list_dp():
+    'Every filter set, every size to 20: the packed DP counts what the list DP counts'
+    for specs in FILTER_SETS:
+        reference = _list_dp(20, specs)
+        for n in range(1, 21):
+            assert count_trees_by_size(n, specs) == reference[:n], (n, specs)
+
+
+def test_packed_dp_matches_the_list_dp_at_40():
+    'Each single filter at 40 nodes, where the counts pass 2**64 and the label caps fold'
+    for spec in FILTER_PREDICATES:
+        assert count_trees_by_size(40, [spec]) == _list_dp(40, [spec]), spec
+
+
+def test_packed_dp_matches_the_list_dp_on_random_filter_sets():
+    'Up to three specs, caps included, at up to 25 nodes'
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(
+        st.lists(st.sampled_from(sorted(FILTER_PREDICATES)), max_size=3), st.integers(1, 25)
+    )
+    def agrees(specs, nodes):
+        assert count_trees_by_size(nodes, specs) == _list_dp(nodes, specs)
+
+    agrees()
 
 
 def test_count_dp_rejects_bad_input():
