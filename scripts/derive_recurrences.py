@@ -3,11 +3,12 @@
     PYTHONPATH=src python scripts/derive_recurrences.py NAME
     PYTHONPATH=src python scripts/derive_recurrences.py --check NAME
 
-NAME is P, B1, B2 or B3.  Each of these series is algebraic, hence D-finite
-(Bostan, Chyzak, Lecerf, Salvy and Schost, "Differential equations for
-algebraic functions", ISSAC 2007).  Working in Q(x)[y]/(Q) for its equation Q
-(`P_EQUATION`, `B1_EQUATION`, `B2_EQUATION` or `B3_EQUATION`) of degree d
-in y:
+NAME is one of the algebraic series of `mapscope.series` (P, B1, B2, B3): a
+name whose entry in the series registry `_SERIES` holds an equation, a
+recurrence table and its seed.  Each of these series is algebraic, hence
+D-finite (Bostan, Chyzak, Lecerf, Salvy and Schost, "Differential equations
+for algebraic functions", ISSAC 2007).  Working in Q(x)[y]/(Q) for the
+entry's equation Q of degree d in y:
 
 1. y' = -Q_x / Q_y, with Q_y inverted mod Q by the extended gcd over Q(x);
    each further derivative is d/dx of the last, reduced mod Q.
@@ -20,22 +21,23 @@ in y:
 
 The script checks that the leading coefficient c_smax(n) has no root
 n >= 1, so that the seed y_0..y_smax and steps from n = 1 determine every
-coefficient; it then runs the recurrence (`mapscope.series._p_recurrence`)
-against `solve_equation` and prints the entry that `mapscope.series` holds
-in `_RECURRENCES`.
+coefficient; it then steps the recurrence (`mapscope.series._Algebraic`)
+against `solve_equation` and prints NAME's registry entry: its equation, its
+rows c_s and its seed, as `mapscope.series` holds them.
 
 For B3 it also prints R, the factor of the discriminant disc_y Q = x^k R
-with R(0) != 0, that `mapscope.series` holds as `_B3_DISCRIMINANT`: the
-dominant singularity 1/rho is a root of R (Flajolet and Sedgewick,
-Analytic Combinatorics, VII.7).  It checks that R's smallest positive root
-agrees with the coefficient ratio [x^201] / [x^200] within 1%, as
-`b3_singularity` does, and that R has no other real root within 1% of it.
+with R(0) != 0, that `mapscope.series` holds as `_B3_DISCRIMINANT` (B3 is
+the one series with a held factor): the dominant singularity 1/rho is a
+root of R (Flajolet and Sedgewick, Analytic Combinatorics, VII.7).  It
+checks that R's smallest positive root agrees with the coefficient ratio
+[x^201] / [x^200] within 1%, as `b3_singularity` does, and that R has no
+other real root within 1% of it.
 
-With --check the script prints no table: it exits 1 when the entry in
-`mapscope.series` differs from the fresh derivation, else 0.  Progress lines
-go to stderr either way.  Needs sympy,
-a development tool only: mapscope does not import it.  P, B1 and B2 take a
-fraction of a second, B3 a few seconds.
+With --check the script prints nothing: it exits 1 when NAME's entry (and,
+for B3, R) in `mapscope.series` differs from the fresh derivation, else 0.
+Progress lines go to stderr either way.  Needs sympy, a development tool
+only: mapscope does not import it.  P, B1 and B2 take a fraction of a
+second, B3 a few seconds.
 """
 
 from __future__ import annotations
@@ -55,12 +57,6 @@ from sympy.polys.rings import ring
 ms = importlib.import_module("mapscope.series")
 
 CHECK_ORDER = 300
-EQUATIONS = {
-    "P": ms.P_EQUATION,
-    "B1": ms.B1_EQUATION,
-    "B2": ms.B2_EQUATION,
-    "B3": ms.B3_EQUATION,
-}
 
 
 def ode_coefficients(spec) -> list[sympy.Poly]:
@@ -123,7 +119,7 @@ def recurrence(ode: list[sympy.Poly]) -> dict[int, list[int]]:
 def derive(name: str) -> tuple[list[list[int]], list[int]]:
     """(rows c_s, lowest shift first; seed y_0..y_h) of NAME's recurrence,
     checked against `solve_equation` to CHECK_ORDER.  Progress goes to stderr."""
-    spec = EQUATIONS[name]
+    spec = ms._SERIES[name].equation
     start = time.perf_counter()
     ode = ode_coefficients(spec)
     print(f"# {name}: ODE of order {len(ode) - 1}, coefficient degrees "
@@ -142,7 +138,7 @@ def derive(name: str) -> tuple[list[list[int]], list[int]]:
     exact = ms.solve_equation(spec, CHECK_ORDER)
     rows = [table[s] for s in range(lo, hi + 1)]
     seed = list(exact[: hi + 1])
-    if ms._p_recurrence(rows, seed, CHECK_ORDER) != list(exact):
+    if ms._Algebraic(spec, rows, seed)(CHECK_ORDER) != list(exact):
         raise ArithmeticError("recurrence disagrees with solve_equation")
     print(f"# agrees with solve_equation to order {CHECK_ORDER}", file=sys.stderr)
     return rows, seed
@@ -176,23 +172,24 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true",
                         help="exit 1 if mapscope.series holds another table")
-    parser.add_argument("name", choices=sorted(EQUATIONS))
+    parser.add_argument("name", choices=sorted(ms._ALGEBRAIC))
     args = parser.parse_args(argv)
+    entry = ms._SERIES[args.name]
     try:
         rows, seed = derive(args.name)
-        disc = discriminant_factor(EQUATIONS[args.name]) if args.name == "B3" else None
+        disc = discriminant_factor(entry.equation) if args.name == ms.B3 else None
     except ArithmeticError as exc:
         print(f"{args.name}: {exc}", file=sys.stderr)
         return 1
     if args.check:
-        held_rows, held_seed = ms._RECURRENCES[args.name]
-        stale = [list(map(list, held_rows)), list(held_seed)] != [rows, seed] or (
+        stale = [list(map(list, entry.rows)), list(entry.seed)] != [rows, seed] or (
             disc is not None and list(ms._B3_DISCRIMINANT) != disc
         )
         if stale:
             print(f"{args.name}: mapscope.series differs from the derivation", file=sys.stderr)
         return 1 if stale else 0
-    print(f"    {args.name}: (")
+    print(f"    {args.name}: _Algebraic(")
+    print(f"        {args.name}_EQUATION,")
     print("        (")
     for row in rows:
         print(f"            ({', '.join(map(str, row))}),")

@@ -20,18 +20,7 @@ import sys
 from functools import cache
 from operator import itemgetter
 
-from .series import (
-    A_FORMULA,
-    A_HYP,
-    A_ZEIL,
-    B1,
-    B2,
-    B3,
-    P,
-    PPRIME,
-    asymptotic,
-    series as build_series,
-)
+from .series import ASYMPT_NAMES, SERIES_NAMES, _ASYMPTOTICS, asymptotic, series as build_series
 from .maps import (
     format_map,
     has_multiple_edges,
@@ -62,25 +51,16 @@ from .trees import (
 )
 from .verify import SUITE_NAMES, _env_max_size, _int, format_report, report_to_dict, run_suite
 
-SERIES_BY_FLAG = {
-    "a": A_FORMULA,
-    "a-zeil": A_ZEIL,
-    "a-hyp": A_HYP,
-    "p": P,
-    "pprime": PPRIME,
-    "b1": B1,
-    "b2": B2,
-    "b3": B3,
-}
 
-ASYMPT_BY_FLAG = {
-    "a": "A",
-    "p": P,
-    "pprime": PPRIME,
-    "b1": B1,
-    "b2": B2,
-    "b3": B3,
-}
+def _flag(name: str) -> str:
+    """The --name flag of a series or estimate name; A_FORMULA's is plain "a"."""
+    return name.lower().replace("_", "-").removesuffix("-formula")
+
+
+SERIES_BY_FLAG = {_flag(name): name for name in SERIES_NAMES}
+ASYMPT_BY_FLAG = {_flag(name): name for name in ASYMPT_NAMES}
+# series flag -> the estimate in its CSV rows; every A route is estimated as A
+_ESTIMATE_OF = {_flag(s): name for name, entry in _ASYMPTOTICS.items() for s in entry.estimates}
 
 
 def _check_size_cap(size: int, cap) -> None:
@@ -278,13 +258,11 @@ def _cmd_series(args) -> int:
     ser = build_series(SERIES_BY_FLAG[args.name], args.terms)
     rows = [{"n": n, "coefficient": ser[n]} for n in range(1, args.terms + 1)]
     if args.format == "csv":
-        # CSV pairs each exact coefficient with the first-order estimate; every
-        # A route (a, a-zeil, a-hyp) is estimated as A.
+        # CSV pairs each exact coefficient with the first-order estimate.
         import mpmath
 
-        asympt_name = ASYMPT_BY_FLAG[args.name.partition("-")[0]]
         for row in rows:
-            coeff, est = row["coefficient"], asymptotic(asympt_name, row["n"])
+            coeff, est = row["coefficient"], asymptotic(_ESTIMATE_OF[args.name], row["n"])
             row["asymptotic"] = mpmath.nstr(est, 12)
             row["relative_error"] = "" if coeff == 0 else mpmath.nstr(abs(est / coeff - 1), 6)
     # Coefficients pass CPython's int -> str digit limit (4300 by default)

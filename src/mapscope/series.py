@@ -1,49 +1,41 @@
 """Exact truncated power series, functional equations, and asymptotics.
 
 A series is a tuple of its coefficients, index n holding [x^n]; a product or
-a composition truncates to the shorter operand.  Every named series is all
-ints.  `solve_equation` keeps each coefficient as an int when it is integral
-and as a `fractions.Fraction` otherwise (every quotient goes through `_div`),
-so a rational equation gets rational coefficients; A_HYP is built over the
-rationals, each term from the last by its hypergeometric term ratio.
-Floating point appears only in the asymptotic estimators and the
+a composition truncates to the shorter operand.  `solve_equation` solves a
+functional equation online, one coefficient at a time, each an int when it
+is integral and a `fractions.Fraction` otherwise (every quotient goes
+through `_div`).  Floating point appears only in the estimates and the
 singularity solver, which run at 30 significant digits (mpmath) whatever
-the caller's precision.  A product (`_mul`) forms each coefficient as one
-dot product, and a square takes each symmetric pair once.  Functional
-equations are solved online, one coefficient at a time (`solve_equation`).
+the caller's precision.
 
-Named series (`series(name, N)`):
+Named series (`series(name, N)`, all ints), one `_SERIES` entry each; the
+registry is all that `SERIES_NAMES`, the CLI's `--name` flags, the `series`
+verify suite and scripts/derive_recurrences.py read:
 
-* A_FORMULA -- coefficients 4(3n)!/(n!(2n+2)!) of the closed form, each from
-  the last by its term ratio (`_tutte_terms`; note [x^0] = 2, a series
-  convention: there is exactly one map on one edge);
-* A_ZEIL    -- 2 + x*B where B solves the cubic
-  B = 1 - 8x + 2x(5-6x)B - 2x^2(1+3x)B^2 - x^4 B^3;
-* A_HYP     -- (2/3x)(F([-2/3,-1/3],[1/2],27x/4) - 1);
+* A_FORMULA -- 4(3n)!/(n!(2n+2)!), each term from the last by its ratio
+  (note [x^0] = 2, a series convention: there is exactly one map on one edge);
+* A_ZEIL    -- 2 + x*B, B the root of the cubic `ZEILBERGER_CUBIC`;
+* A_HYP     -- (2/3x)(F([-2/3,-1/3],[1/2],27x/4) - 1), term by term over the
+  rationals;
 * P         -- A(x/(1+x)), the root of the cubic `P_EQUATION` with y(0) = 2;
   PPRIME -- (1-x) P, P's first differences;
 * B1        -- (1+x-sqrt(1-2x-3x^2))/(2(1+x)) (labels <= 1, no only
-  children), the root of the quadratic `B1_EQUATION` with y(0) = 0;
-* B2        -- (1+3x+4x^2-sqrt(1-2x-7x^2))/(4+8x) (labels <= 2), the root
-  of the quadratic `B2_EQUATION` with y(0) = 0;
-* B3        -- the root of the quartic `B3_EQUATION` (labels <= 3) with
-  y(0) = 0.
-  P and each B-series are read off the P-recurrence of its equation's linear
-  ODE (`_RECURRENCES`; order 2 for B1 and B2, 3 for P, 4 for B3).  The
-  stepper carries each row polynomial of the recurrence as its forward
-  differences, so a coefficient costs a few vector additions and one dot
-  product of small ints with big ones.  `solve_equation(*_EQUATION, N)` is
-  the independent route, about N^2 big-int products to order N.  B3's
-  singularity is a root of its discriminant (`b3_singularity`).
-  `p_coefficient`, `pprime_coefficient`, `primitive_maps_with_edges` and
-  `exact_coefficient` read one memoised stepper per series, advanced only
-  as far as the largest n asked so far; `series` steps afresh.
+  children), B2 -- (1+3x+4x^2-sqrt(1-2x-7x^2))/(4+8x) (labels <= 2) and B3
+  (labels <= 3), the roots of `B1_EQUATION`, `B2_EQUATION` and the quartic
+  `B3_EQUATION` with y(0) = 0.
+P and the B-series are `_Algebraic` entries: an equation and the
+P-recurrence of its linear ODE, stepped by forward differences;
+`solve_equation` of the equation is the independent route.
+`p_coefficient`, `pprime_coefficient`, `primitive_maps_with_edges` and
+`exact_coefficient` read one memoised stepper per series, advanced only as
+far as the largest n asked so far; `series` steps afresh.  Estimates
+(`asymptotic`): one `_ASYMPTOTICS` entry per name in `ASYMPT_NAMES`.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -82,9 +74,6 @@ PPRIME = "PPRIME"
 B1 = "B1"
 B2 = "B2"
 B3 = "B3"
-
-SERIES_NAMES = (A_FORMULA, A_ZEIL, A_HYP, P, PPRIME, B1, B2, B3)
-ASYMPT_NAMES = ("A", P, PPRIME, B1, B2, B3)
 
 
 def _exact(v) -> int | Fraction:
@@ -234,95 +223,6 @@ B3_EQUATION = EquationSpec.make(
     0,
 )
 
-# The coefficients of P and of each B-series satisfy sum_s c_s(n) y_(n+s) = 0
-# for every n >= 1: the P-recurrence of the linear ODE that its equation
-# implies (order 3 for P, 2 for B1 and B2, 4 for B3).  Per name, the rows c_s
-# for s = h + 1 - len(rows) .. h, each c_s's coefficients highest power of n
-# first, and the seed y_0..y_h; c_h(n) vanishes at no n >= 1.  Derived, checked against `solve_equation` and
-# printed by
-#     PYTHONPATH=src python scripts/derive_recurrences.py NAME
-_RECURRENCES = {
-    P: (
-        (
-            (23, -138, 253, -138),
-            (65, -216, 193, -42),
-            (57, -36, -15, -6),
-            (11, 24, 19, 6),
-            (-4, -18, -26, -12),
-        ),
-        (2, 1),
-    ),
-    B1: (
-        (
-            (3, 3, 0),
-            (2, 2, 0),
-            (-1, -3, -2),
-        ),
-        (0, 1, 0),
-    ),
-    B2: (
-        (
-            (98, -882, 1960),
-            (119, -903, 1708),
-            (-9, -75, 264),
-            (-54, 114, -42),
-            (-14, 12, -4),
-            (3, 3, 0),
-            (1, 3, 2),
-        ),
-        (0, 1, 0),
-    ),
-    B3: (
-        (
-            (3487629312, -481292845056, 24898185658368, -572257192771584, 4930531310960640),
-            (19168026624, -2555450892288, 127687390322688, -2834010721935360, 23574259176652800),
-            (-30684220416, 3940489451520, -189652177695744, 4054434936219648, -32485439443894272),
-            (-166805927424, 20827914068736, -974639458331136, 20257843508944128, -157800561304117248),
-            (-40890132864, 4828251197952, -213582693648960, 4195397803656384, -30879844885208448),
-            (366082449408, -42891359919552, 1882452987201888, -36678135768746976, 267676411777253568),
-            (393794086608, -44527274774784, 1887186314705688, -35533696089606696, 250806254952763872),
-            (-8422223720, -312058210004, 69858923760260, -2441275699119424, 25613062613630784),
-            (-400733756950, 41465705094156, -1602980535520802, 27426604897402236, -175149916245394416),
-            (-734526371910, 79088634294100, -3195742804263258, 57433132339166204, -387340633575167040),
-            (-540721883508, 58428640569272, -2363735038197240, 42434062190335996, -285242507210924160),
-            (433581101748, -44358221283876, 1697697327986952, -28815449332357488, 183056272643786832),
-            (1055847547580, -104990968635924, 3904903299615952, -64397296561779408, 397397971382039472),
-            (616894426124, -56259635139020, 1925458784343592, -29308932379144000, 167411596141784856),
-            (-161751002177, 19177619528238, -787830900873595, 13709964822159750, -86623122433366728),
-            (-579577653599, 51125756623242, -1682252149528909, 24485692037789898, -133084044277326072),
-            (-514267103197, 38951003866574, -1103905446070439, 13871961181658350, -65201112742656240),
-            (-182246666267, 11257701806558, -249864930108229, 2303902998671194, -7038303372987480),
-            (81524208651, -6440259955986, 187244682917373, -2382195947646486, 11214840152308848),
-            (245009929284, -15987672023296, 389644882140816, -4201766950557620, 16908080333529576),
-            (317495815153, -19417122789334, 444648954351431, -4518304660991594, 17188634099645664),
-            (118705341566, -6792215918264, 145961466898462, -1396549438915660, 5020917677566152),
-            (-183966320389, 9840488348866, -196997925822827, 1748633242916366, -5805058147273896),
-            (-202337989625, 10042509459294, -186739930891279, 1541358897386274, -4763612129168736),
-            (-3588857796, 226696732216, -5011700709288, 46951873944236, -159235992560376),
-            (89524474378, -3676109672932, 56490282729962, -384936196940168, 981211820522616),
-            (36784169182, -1380288579024, 19395271574810, -120869325328056, 281698858162512),
-            (-13871772931, 457278638158, -5621378672825, 30551745384686, -61953915634056),
-            (-13812430627, 408422868374, -4505778507101, 21967618443130, -39915779032680),
-            (-1693929235, 45591629706, -456039898769, 2004217374138, -3260383424856),
-            (1505152499, -32214016010, 255719371633, -891773212858, 1151921143176),
-            (500469432, -9187084092, 61990131852, -181605615384, 194440183704),
-            (-38569287, 437508630, -1770962865, 3034090170, -1855771776),
-            (-34888290, 372516252, -1396330410, 2102245680, -1043006688),
-            (-844227, 19730610, -65375901, 46610046, -209952),
-            (1261953, -1259874, -1867941, 688878, 34992),
-            (60156, 3024, -250992, 128196, 322056),
-            (-27216, -163296, -299376, -163296, 0),
-            (-2187, -21870, -76545, -109350, -52488),
-        ),
-        (0, 1, 0),
-    ),
-}
-
-# R, highest power first, with disc_y Q = x^2 R for B3's quartic Q: the
-# dominant singularity x* = 1/rho of B3 is R's smallest positive root, the
-# only root within 1% of it (same script, NAME = B3).
-_B3_DISCRIMINANT = (576, 288, -1024, -564, -407, -442, 1285, 1356, -322, -666, -144, 32, 9)
-
 
 def _online_solution(spec: EquationSpec, order: int, qy0) -> list:
     """[y_0, ..., y_order]; powers[j][k] holds [x^k] y^j.
@@ -408,15 +308,29 @@ def _recurrence_steps(table, seed):
             diffs[k] = list(map(add, diffs[k], diffs[k + 1]))
 
 
-def _p_recurrence(table, seed, order: int) -> list[int]:
-    """[y_0, ..., y_order] of `_recurrence_steps(table, seed)`."""
-    return list(islice(_recurrence_steps(table, seed), order + 1))
+@dataclass(frozen=True)
+class _Algebraic:
+    """The root of `equation` with y(0) = its seed, whose coefficients step by
+    the P-recurrence (`rows`, `seed`; see `_recurrence_steps`) of the linear
+    ODE that the equation implies; c_h(n) vanishes at no n >= 1.  Derived,
+    checked against `solve_equation` and printed by
+        PYTHONPATH=src python scripts/derive_recurrences.py NAME
+    """
+
+    equation: EquationSpec
+    rows: tuple[tuple[int, ...], ...]
+    seed: tuple[int, ...]
+
+    def __call__(self, order: int) -> list[int]:
+        """[y_0, ..., y_order], stepped afresh."""
+        return list(islice(_recurrence_steps(self.rows, self.seed), order + 1))
 
 
 @lru_cache(maxsize=None)
 def _stepper(name: str) -> tuple:
     """(steps, coefficients so far) of the named table, shared by every caller."""
-    return _recurrence_steps(*_RECURRENCES[name]), []
+    entry = _SERIES[name]
+    return _recurrence_steps(entry.rows, entry.seed), []
 
 
 def _coefficients(name: str, n: int) -> list[int]:
@@ -507,6 +421,108 @@ def _a_hyp(order: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+def _pprime(order: int) -> tuple[int, ...]:
+    p = series(P, order)  # (1-x) P: P's first differences
+    return (p[0], *(b - a for a, b in zip(p, p[1:])))
+
+
+# Every named series, in SERIES_NAMES order: order -> [y_0, ..., y_order].
+_SERIES = {
+    A_FORMULA: _tutte_terms,
+    A_ZEIL: lambda order: (2, *solve_equation(ZEILBERGER_CUBIC, order - 1)),  # 2 + x B
+    A_HYP: _a_hyp,
+    P: _Algebraic(
+        P_EQUATION,
+        (
+            (23, -138, 253, -138),
+            (65, -216, 193, -42),
+            (57, -36, -15, -6),
+            (11, 24, 19, 6),
+            (-4, -18, -26, -12),
+        ),
+        (2, 1),
+    ),
+    PPRIME: _pprime,
+    B1: _Algebraic(
+        B1_EQUATION,
+        (
+            (3, 3, 0),
+            (2, 2, 0),
+            (-1, -3, -2),
+        ),
+        (0, 1, 0),
+    ),
+    B2: _Algebraic(
+        B2_EQUATION,
+        (
+            (98, -882, 1960),
+            (119, -903, 1708),
+            (-9, -75, 264),
+            (-54, 114, -42),
+            (-14, 12, -4),
+            (3, 3, 0),
+            (1, 3, 2),
+        ),
+        (0, 1, 0),
+    ),
+    B3: _Algebraic(
+        B3_EQUATION,
+        (
+            (3487629312, -481292845056, 24898185658368, -572257192771584, 4930531310960640),
+            (19168026624, -2555450892288, 127687390322688, -2834010721935360, 23574259176652800),
+            (-30684220416, 3940489451520, -189652177695744, 4054434936219648, -32485439443894272),
+            (-166805927424, 20827914068736, -974639458331136, 20257843508944128, -157800561304117248),
+            (-40890132864, 4828251197952, -213582693648960, 4195397803656384, -30879844885208448),
+            (366082449408, -42891359919552, 1882452987201888, -36678135768746976, 267676411777253568),
+            (393794086608, -44527274774784, 1887186314705688, -35533696089606696, 250806254952763872),
+            (-8422223720, -312058210004, 69858923760260, -2441275699119424, 25613062613630784),
+            (-400733756950, 41465705094156, -1602980535520802, 27426604897402236, -175149916245394416),
+            (-734526371910, 79088634294100, -3195742804263258, 57433132339166204, -387340633575167040),
+            (-540721883508, 58428640569272, -2363735038197240, 42434062190335996, -285242507210924160),
+            (433581101748, -44358221283876, 1697697327986952, -28815449332357488, 183056272643786832),
+            (1055847547580, -104990968635924, 3904903299615952, -64397296561779408, 397397971382039472),
+            (616894426124, -56259635139020, 1925458784343592, -29308932379144000, 167411596141784856),
+            (-161751002177, 19177619528238, -787830900873595, 13709964822159750, -86623122433366728),
+            (-579577653599, 51125756623242, -1682252149528909, 24485692037789898, -133084044277326072),
+            (-514267103197, 38951003866574, -1103905446070439, 13871961181658350, -65201112742656240),
+            (-182246666267, 11257701806558, -249864930108229, 2303902998671194, -7038303372987480),
+            (81524208651, -6440259955986, 187244682917373, -2382195947646486, 11214840152308848),
+            (245009929284, -15987672023296, 389644882140816, -4201766950557620, 16908080333529576),
+            (317495815153, -19417122789334, 444648954351431, -4518304660991594, 17188634099645664),
+            (118705341566, -6792215918264, 145961466898462, -1396549438915660, 5020917677566152),
+            (-183966320389, 9840488348866, -196997925822827, 1748633242916366, -5805058147273896),
+            (-202337989625, 10042509459294, -186739930891279, 1541358897386274, -4763612129168736),
+            (-3588857796, 226696732216, -5011700709288, 46951873944236, -159235992560376),
+            (89524474378, -3676109672932, 56490282729962, -384936196940168, 981211820522616),
+            (36784169182, -1380288579024, 19395271574810, -120869325328056, 281698858162512),
+            (-13871772931, 457278638158, -5621378672825, 30551745384686, -61953915634056),
+            (-13812430627, 408422868374, -4505778507101, 21967618443130, -39915779032680),
+            (-1693929235, 45591629706, -456039898769, 2004217374138, -3260383424856),
+            (1505152499, -32214016010, 255719371633, -891773212858, 1151921143176),
+            (500469432, -9187084092, 61990131852, -181605615384, 194440183704),
+            (-38569287, 437508630, -1770962865, 3034090170, -1855771776),
+            (-34888290, 372516252, -1396330410, 2102245680, -1043006688),
+            (-844227, 19730610, -65375901, 46610046, -209952),
+            (1261953, -1259874, -1867941, 688878, 34992),
+            (60156, 3024, -250992, 128196, 322056),
+            (-27216, -163296, -299376, -163296, 0),
+            (-2187, -21870, -76545, -109350, -52488),
+        ),
+        (0, 1, 0),
+    ),
+}
+SERIES_NAMES = tuple(_SERIES)
+# The names of the `_Algebraic` entries: P and the B-series.
+_ALGEBRAIC = tuple(name for name, entry in _SERIES.items() if isinstance(entry, _Algebraic))
+
+
+def _entry(registry: dict, name: str, kind: str):
+    """registry[name], or a ValueError that names the unknown `kind` name."""
+    if name not in registry:
+        raise ValueError(f"unknown {kind} name: {name!r}")
+    return registry[name]
+
+
 def series(name: str, order: int) -> tuple[int, ...]:
     """The named series to the given order: (y_0, ..., y_order), all ints.
 
@@ -515,24 +531,19 @@ def series(name: str, order: int) -> tuple[int, ...]:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if name == A_FORMULA:
-        return tuple(_tutte_terms(order))
-    if name == A_ZEIL:
-        return (2, *solve_equation(ZEILBERGER_CUBIC, order - 1))  # 2 + x B
-    if name == A_HYP:
-        return _a_hyp(order)
-    if name == PPRIME:
-        p = series(P, order)
-        return (p[0], *(b - a for a, b in zip(p, p[1:])))
-    if name in _RECURRENCES:
-        return tuple(_p_recurrence(*_RECURRENCES[name], order))
-    raise ValueError(f"unknown series name: {name!r}")
+    return tuple(_entry(_SERIES, name, "series")(order))
 
 
 # ---------------------------------------------------------------------------
 # Asymptotics (mpmath, imported on first use; 30 significant digits whatever
 # the caller's precision)
 # ---------------------------------------------------------------------------
+
+
+# R, highest power first, with disc_y Q = x^2 R for B3's quartic Q: the
+# dominant singularity x* = 1/rho of B3 is R's smallest positive root, the
+# only root within 1% of it (same script, NAME = B3).
+_B3_DISCRIMINANT = (576, 288, -1024, -564, -407, -442, 1285, 1356, -322, -666, -144, 32, 9)
 
 
 @dataclass(frozen=True)
@@ -549,7 +560,7 @@ def _dq(a: int, b: int):
 
     terms = [
         (c * math.perm(i, a) * math.perm(j, b), i - a, j - b)
-        for (i, j), c in B3_EQUATION.coeffs
+        for (i, j), c in _SERIES[B3].equation.coeffs
         if i >= a and j >= b
     ]
     return lambda x, z: mpmath.fsum(c * x**i * z**j for c, i, j in terms)
@@ -586,63 +597,47 @@ def b3_singularity() -> SingularityEstimate:
         return SingularityEstimate(tau=z, rho=rho, gamma=gamma)
 
 
-@lru_cache(maxsize=1)
-def _printed() -> dict:
-    """(c, k, e, r) of each printed estimate c sqrt(k/(pi n^e)) r^n."""
-    import mpmath
+# The estimate [x^n] ~ c sqrt(k/(pi n^e)) r^n of the named series `estimates`,
+# (c, k, e, r) = constants(mpmath) at 30 digits, as printed; exact(n) is the
+# integer that it is measured against.  Each exact(n) calls a module global
+# by name, so that a tracer that rebinds the global (bench/spans.py) sees it.
+_Estimate = namedtuple("_Estimate", "estimates constants exact")
 
-    with mpmath.workdps(30):
-        rt2 = mpmath.sqrt(2)
-        return {
-            "A": (mpmath.mpf(2) / 27, mpmath.mpf(3), 5, mpmath.mpf(27) / 4),
-            P: (mpmath.mpf(46) / 729, mpmath.mpf(23), 5, mpmath.mpf(23) / 4),
-            PPRIME: (mpmath.mpf(529) / 1458, mpmath.mpf(23), 3, mpmath.mpf(23) / 4),
-            B1: (mpmath.mpf(1) / 8, mpmath.mpf(3), 3, mpmath.mpf(3)),
-            B2: (1 / (8 * rt2 + 12), 4 + rt2, 3, 7 / (2 * rt2 - 1)),
-        }
+
+# A's estimate tracks the maps with n edges, tutte_count(n-1): its constant
+# matches their asymptotics exactly, not those of tutte_count(n).  P's is
+# labeled as the number of 2-face-free interiors on n edges.
+_ASYMPTOTICS = {
+    "A": _Estimate((A_FORMULA, A_ZEIL, A_HYP), lambda mp: (mp.mpf(2) / 27, 3, 5, mp.mpf(27) / 4),
+                   lambda n: maps_with_edges(n)),
+    P: _Estimate((P,), lambda mp: (mp.mpf(46) / 729, 23, 5, mp.mpf(23) / 4),
+                 lambda n: primitive_maps_with_edges(n)),
+    PPRIME: _Estimate((PPRIME,), lambda mp: (mp.mpf(529) / 1458, 23, 3, mp.mpf(23) / 4),
+                      lambda n: pprime_coefficient(n)),
+    B1: _Estimate((B1,), lambda mp: (mp.mpf(1) / 8, 3, 3, mp.mpf(3)),
+                  lambda n: _coefficients(B1, n)[n]),
+    B2: _Estimate((B2,), lambda mp: (1 / (8 * mp.sqrt(2) + 12), 4 + mp.sqrt(2), 3,
+                                     7 / (2 * mp.sqrt(2) - 1)),
+                  lambda n: _coefficients(B2, n)[n]),
+    # gamma rho^n / (2 sqrt(pi n^3)), from the singularity of B3's quartic
+    B3: _Estimate((B3,), lambda mp: ((s := b3_singularity()).gamma / 2, 1, 3, s.rho),
+                  lambda n: _coefficients(B3, n)[n]),
+}
+ASYMPT_NAMES = tuple(_ASYMPTOTICS)
 
 
 def asymptotic(name: str, n: int):
-    """First-order coefficient estimates, exactly as conventionally printed.
-
-    A:      (2/27)  sqrt(3/(pi n^5)) (27/4)^n   -- tracks maps with n edges,
-            i.e. tutte_count(n-1); see `exact_coefficient`.
-    P:      (46/729) sqrt(23/(pi n^5)) (23/4)^n
-    PPRIME: (529/1458) sqrt(23/(pi n^3)) (23/4)^n
-    B1:     (1/8) sqrt(3/(pi n^3)) 3^n
-    B2:     (1/(8 sqrt 2 + 12)) sqrt((4+sqrt 2)/(pi n^3)) (7/(2 sqrt 2 - 1))^n
-    B3:     gamma rho^n / (2 sqrt(pi n^3))
-    """
+    """The estimate c sqrt(k/(pi n^e)) r^n of [x^n], with the constants of
+    `name`'s `_ASYMPTOTICS` entry."""
     if n < 1:
         raise ValueError("n must be >= 1")
     import mpmath
 
     with mpmath.workdps(30):
-        if name in _printed():
-            c, k, e, r = _printed()[name]
-            return c * mpmath.sqrt(k / (mpmath.pi * mpmath.mpf(n) ** e)) * r**n
-        if name == B3:
-            est = b3_singularity()
-            return est.gamma * est.rho**n / (2 * mpmath.sqrt(mpmath.pi * mpmath.mpf(n) ** 3))
-    raise ValueError(f"unknown asymptotic name: {name!r}")
+        c, k, e, r = _entry(_ASYMPTOTICS, name, "asymptotic").constants(mpmath)
+        return c * mpmath.sqrt(k / (mpmath.pi * mpmath.mpf(n) ** e)) * r**n
 
 
 def exact_coefficient(name: str, n: int) -> int:
-    """The exact integer each estimator is measured against.
-
-    A's printed estimate tracks the number of maps with n edges (the constant
-    matches the asymptotics of tutte_count(n-1) exactly, not tutte_count(n));
-    P's printed estimate is labeled as the number of 2-face-free interiors on
-    n edges, so it is measured against primitive_maps_with_edges(n); PPRIME
-    against the series coefficient [x^n](1-x)P.  B1, B2, B3 are measured
-    against their own series coefficients.
-    """
-    if name == "A":
-        return maps_with_edges(n)
-    if name == P:
-        return primitive_maps_with_edges(n)
-    if name == PPRIME:
-        return pprime_coefficient(n)
-    if name in (B1, B2, B3):
-        return _coefficients(name, n)[n]
-    raise ValueError(f"unknown asymptotic name: {name!r}")
+    """The exact integer that `asymptotic(name, n)` is measured against."""
+    return _entry(_ASYMPTOTICS, name, "asymptotic").exact(n)

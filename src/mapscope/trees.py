@@ -410,7 +410,8 @@ def count_trees_by_size(nodes: int, filters=()) -> list[int]:
     subtrees, forests = [{}, {0: 1 << w}], [{(0, 0): 1}]
     # full[j]: j-node forests one subtree short of key (m_cap, 0); every[k]: all.
     full, every = [int(m_cap <= 1)], [0, 1 << w]
-    counts = [int(all(r.bad_root != 1 for r in rules))]
+    bad_roots = {r.bad_root for r in rules}
+    counts = [int(1 not in bad_roots)]
     for n in range(1, nodes):
         forest = defaultdict(int)
         forest[m_cap, 0] = sum(full[n - k] * every[k] for k in range(1, n + 1))
@@ -430,7 +431,7 @@ def count_trees_by_size(nodes: int, filters=()) -> list[int]:
             for s in range(1, min(n, s_cap) + 1):
                 a = packed >> w * s & mask
                 if a and all(r.node(m, d, s) for r in rules):
-                    root_count += a if all(r.bad_root != s for r in rules) else 0
+                    root_count += 0 if s in bad_roots else a
                     # Labels up to s - d_cap leave a deficit clamped to d_cap.
                     low = max(min(s - d_cap, cap), 0)
                     if low:

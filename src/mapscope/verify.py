@@ -52,15 +52,14 @@ from .series import (
     A_FORMULA,
     A_HYP,
     A_ZEIL,
+    ASYMPT_NAMES,
     B1,
     B2,
     B3,
     P,
     PPRIME,
-    P_EQUATION,
-    B1_EQUATION,
-    B2_EQUATION,
-    B3_EQUATION,
+    _ALGEBRAIC,
+    _SERIES,
     asymptotic,
     b3_singularity,
     compose,
@@ -598,13 +597,13 @@ def check_series_identities(order: int = 30):
     if a_hyp != a_formula:
         yield ("A via hypergeometric", "closed-form coefficients", "differs")
     stepped = {}
-    for name, spec in ((P, P_EQUATION), (B1, B1_EQUATION), (B2, B2_EQUATION), (B3, B3_EQUATION)):
+    for name in _ALGEBRAIC:
         try:
             stepped[name] = series(name, order)
         except ArithmeticError as exc:
             yield (f"{name} recurrence", "exact steps", str(exc))
             continue
-        if stepped[name] != solve_equation(spec, order):
+        if stepped[name] != solve_equation(_SERIES[name].equation, order):
             yield (f"{name} recurrence", "equation solution", "differs")
     if B3 in stepped:
         printed = (1, 0, 1, 1, 5, 13, 48, 160, 578, 2078)[:order]
@@ -657,7 +656,7 @@ def check_asymptotics():
         if err > tol:
             yield (f"{name} estimate at n={n}", f"relative error <= {tol}", f"{err:.4g}")
     grid = (50, 100, 200, 400, 800)
-    for name in ("A", P, PPRIME, B1, B2, B3):
+    for name in ASYMPT_NAMES:
         errs = [rel_error(name, n) for n in grid]
         if not all(b < a for a, b in zip(errs, errs[1:])):
             yield (

@@ -9,7 +9,8 @@ import sys
 import pytest
 
 import mapscope
-from mapscope.cli import _reader, main
+from mapscope.cli import _reader, build_parser, main
+from mapscope.series import A_FORMULA, A_HYP, A_ZEIL, B1, B2, B3, P, PPRIME, series
 from mapscope.trees import (
     enumerate_trees,
     format_tree,
@@ -286,6 +287,41 @@ def test_series_prints_coefficients_past_the_digit_limit(capsys):
     assert (code, err) == (0, "")
     lines = out.splitlines()
     assert len(lines) == 1200 and len(lines[-1]) > 640
+
+
+SERIES_FLAGS = {
+    "a": A_FORMULA,
+    "a-hyp": A_HYP,
+    "a-zeil": A_ZEIL,
+    "b1": B1,
+    "b2": B2,
+    "b3": B3,
+    "p": P,
+    "pprime": PPRIME,
+}
+
+
+def _name_choices(command):
+    'The --name choices of one subcommand, as the parser holds them'
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    return list(next(a.choices for a in sub.choices[command]._actions if a.dest == "name"))
+
+
+def test_name_flags_are_pinned(capsys):
+    'The --name flags derived from the registry: exactly these, each series flag prints its own series, and every A route is estimated as A'
+    assert _name_choices("series") == list(SERIES_FLAGS)
+    assert _name_choices("asympt") == ["a", "b1", "b2", "b3", "p", "pprime"]
+    for flag, name in SERIES_FLAGS.items():
+        code, out, _ = run(["series", "--name", flag, "--terms", "5"], capsys)
+        assert code == 0
+        assert tuple(map(int, out.split())) == series(name, 5)[1:], flag
+
+    def estimates(flag):
+        code, out, _ = run(["series", "--name", flag, "--terms", "5", "--format", "csv"], capsys)
+        assert code == 0
+        return [line.split(",")[2] for line in out.splitlines()[1:]]
+
+    assert estimates("a-zeil") == estimates("a-hyp") == estimates("a")
 
 
 def test_series_bad_terms(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import math
@@ -34,9 +35,10 @@ from mapscope.series import (
     series,
     solve_equation,
     tutte_count,
-    _RECURRENCES,
+    _ALGEBRAIC,
+    _B3_DISCRIMINANT,
+    _SERIES,
     _mul,
-    _p_recurrence,
     _stepper,
 )
 from mapscope.verify import check_asymptotics
@@ -278,14 +280,14 @@ def test_b3_recurrence_matches_equation_solution():
     assert series(B3, 300) == solve_equation(B3_EQUATION, 300)
 
 
-@pytest.mark.parametrize("name", [B1, B2, B3, P])
+@pytest.mark.parametrize("name", _ALGEBRAIC)
 def test_b3_recurrence_refuses_a_corrupt_table(name):
     'A table with one coefficient off by one meets an inexact division and raises'
-    table, seed = _RECURRENCES[name]
-    rows = [list(row) for row in table]
+    entry = _SERIES[name]
+    rows = [list(row) for row in entry.rows]
     rows[-3][-1] += 1
     with pytest.raises(ArithmeticError, match="corrupt table"):
-        _p_recurrence(rows, seed, 60)
+        dataclasses.replace(entry, rows=rows)(60)
 
 
 def _horner_steps(table, seed, order):
@@ -306,12 +308,12 @@ def _horner_steps(table, seed, order):
     return y[pad : pad + order + 1]
 
 
-@pytest.mark.parametrize("name", [P, B1, B2, B3])
+@pytest.mark.parametrize("name", _ALGEBRAIC)
 def test_stepper_matches_naive_horner_stepping(name):
     'The forward-difference stepper against Horner evaluation of every row at every step'
-    table, seed = _RECURRENCES[name]
+    entry = _SERIES[name]
     for order in [*range(1, 61), 1000]:
-        assert _p_recurrence(table, seed, order) == _horner_steps(table, seed, order)
+        assert entry(order) == _horner_steps(entry.rows, entry.seed, order)
 
 
 def test_exact_coefficient_memo_in_any_order():
@@ -355,15 +357,21 @@ def _derive_script():
     return module
 
 
-@pytest.mark.parametrize("name", [B1, B2, P])
+@pytest.mark.parametrize("name", [name for name in _ALGEBRAIC if name != B3])
 def test_recurrence_tables_match_a_fresh_derivation(name, monkeypatch):
-    'derive_recurrences.py --check passes on the held table and fails on a corrupt one'
+    'derive_recurrences.py --check passes on the held table and fails on a corrupt one; B3 is left out, since --check B3 takes seconds'
     script = _derive_script()
     assert script.main(["--check", name]) == 0
-    table, seed = _RECURRENCES[name]
-    corrupt = (table[:-1] + (tuple(c + 1 for c in table[-1]),), seed)
-    monkeypatch.setitem(_RECURRENCES, name, corrupt)
+    entry = _SERIES[name]
+    corrupt = entry.rows[:-1] + (tuple(c + 1 for c in entry.rows[-1]),)
+    monkeypatch.setitem(_SERIES, name, dataclasses.replace(entry, rows=corrupt))
     assert script.main(["--check", name]) == 1
+
+
+def test_b3_discriminant_factor_matches_its_equation():
+    'The held factor R of disc_y Q is the one the derive script finds for B3\'s registered equation'
+    script = _derive_script()
+    assert script.discriminant_factor(_SERIES[B3].equation) == list(_B3_DISCRIMINANT)
 
 
 def test_b3_coefficient_800_pinned():

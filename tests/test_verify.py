@@ -1,12 +1,13 @@
 """Verification suites: small-size runs, report plumbing, oracle spot checks."""
 
+import dataclasses
 import itertools
 
 import pytest
 
 from mapscope import cli, verify
 from mapscope.perms import INS1, INS2, M, M_PRIME, N, generate_av, occurrences
-from mapscope.series import B1, _RECURRENCES, _stepper, exact_coefficient, series
+from mapscope.series import _ALGEBRAIC, _SERIES, _stepper, exact_coefficient
 from mapscope.verify import (
     SUITE_NAMES,
     brute_force_av,
@@ -70,28 +71,37 @@ def test_series_suite_passes():
     assert r.status == "pass"
 
 
-def test_series_suite_reports_an_inexact_step(monkeypatch, capsys):
-    'A corrupt B1 seed is a witness, not a traceback, and leaves no memoised stepper behind'
-    table, seed = _RECURRENCES[B1]
-    want = series(B1, 40)[40]
+def _corrupt(entry):
+    'entry with one table coefficient off by one: every table meets an inexact step at n = 1'
+    rows = [list(row) for row in entry.rows]
+    rows[-3][-1] += 1
+    return dataclasses.replace(entry, rows=tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("name", _ALGEBRAIC)
+def test_series_suite_reports_an_inexact_step(name, monkeypatch, capsys):
+    'A corrupt table is a witness, not a traceback, and leaves no memoised stepper behind'
+    entry = _SERIES[name]
+    want = exact_coefficient(name, 40)
     _stepper.cache_clear()
-    monkeypatch.setitem(_RECURRENCES, B1, (table, (0, 1, 1)))
+    monkeypatch.setitem(_SERIES, name, _corrupt(entry))
     message = "recurrence step n = 1 is inexact: corrupt table"
-    assert check_series_identities().witnesses == (("B1 recurrence", "exact steps", message),)
+    assert check_series_identities().witnesses == ((f"{name} recurrence", "exact steps", message),)
     assert cli.main(["verify", "--suite", "series"]) == 1
     assert message in capsys.readouterr().out
     with pytest.raises(ArithmeticError, match="corrupt table"):
-        exact_coefficient(B1, 40)
+        exact_coefficient(name, 40)
     assert _stepper.cache_info().currsize == 0
-    monkeypatch.setitem(_RECURRENCES, B1, (table, seed))
-    assert exact_coefficient(B1, 40) == want
+    monkeypatch.setitem(_SERIES, name, entry)
+    assert exact_coefficient(name, 40) == want
 
 
-def test_asymptotics_suite_reports_an_inexact_step(monkeypatch, capsys):
-    'A corrupt B1 seed stops the asymptotics suite with a witness, alone and under --suite all, and leaves no memoised stepper behind'
-    table, seed = _RECURRENCES[B1]
-    want = exact_coefficient(B1, 40)
-    monkeypatch.setitem(_RECURRENCES, B1, (table, (0, 1, 1)))
+@pytest.mark.parametrize("name", _ALGEBRAIC)
+def test_asymptotics_suite_reports_an_inexact_step(name, monkeypatch, capsys):
+    'A corrupt table stops the asymptotics suite with a witness, alone and under --suite all, and leaves no memoised stepper behind'
+    entry = _SERIES[name]
+    want = exact_coefficient(name, 40)
+    monkeypatch.setitem(_SERIES, name, _corrupt(entry))
     _stepper.cache_clear()
     message = "recurrence step n = 1 is inexact: corrupt table"
     witness = ("asymptotics", "exact arithmetic", message)
@@ -103,8 +113,8 @@ def test_asymptotics_suite_reports_an_inexact_step(monkeypatch, capsys):
         assert "asymptotics: FAIL" in out
         assert "  asymptotics: expected exact arithmetic, got " + message in out
         assert _stepper.cache_info().currsize == 0
-    monkeypatch.setitem(_RECURRENCES, B1, (table, seed))
-    assert exact_coefficient(B1, 40) == want
+    monkeypatch.setitem(_SERIES, name, entry)
+    assert exact_coefficient(name, 40) == want
 
 
 def test_theorem5_reports_the_break():
